@@ -194,6 +194,13 @@ pub fn sweep_reports_from(
     structure: Option<&Arc<TangibleStructure>>,
 ) -> Vec<SweepOutcome> {
     let threads = threads.max(1).min(specs.len().max(1));
+    // The jobs share the solver's threads instead of multiplying them: each
+    // of the `threads` workers solves with ⌊solver threads / threads⌋ (at
+    // least one), so the sweep runs about as many solver threads as one
+    // solve would. Bit-identical at every split (`dtc_markov::par`).
+    let mut opts = opts.clone();
+    opts.solver.threads = (opts.solver.resolved_threads() / threads).max(1);
+    let opts = &opts;
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<SweepOutcome>>> = Mutex::new(vec![None; specs.len()]);
 

@@ -168,12 +168,16 @@ pub fn run_batch(
         eval.sweep_threads = (opts.threads.max(1) / threads).max(1);
     }
     // Same budget split for the solver's parallel kernels (the uniformized
-    // march and the power method): an unset solver.threads shares the batch
-    // budget across workers, so a single-scenario `dtc run --threads N` (or
-    // a one-request `/v2/evaluate` with `--eval-threads N`) gives the march
-    // all N threads while a wide batch stays at ~N total. Safe to derive
-    // after keying: thread counts are excluded from cache identity because
-    // the kernels are bit-identical at every value (`dtc_markov::par`).
+    // march, the power method and Gauss–Seidel sweeps): an unset
+    // solver.threads shares the batch budget across workers, so a
+    // single-scenario `dtc run --threads N` (or a one-request `/v2/evaluate`
+    // with `--eval-threads N`) gives the solvers all N threads while a wide
+    // batch stays at ~N total. A sensitivity sweep inside a scenario splits
+    // its solver threads again over its own workers
+    // (`dtc_core::sweep::sweep_reports_from`), so nesting does not multiply
+    // them. Safe to derive after keying: thread counts are excluded from
+    // cache identity because the kernels are bit-identical at every value
+    // (`dtc_markov::par`).
     if eval.solver.threads == 0 {
         eval.solver.threads = (opts.threads.max(1) / threads).max(1);
     }

@@ -24,7 +24,7 @@
 
 use crate::error::{MarkovError, Result};
 use crate::solve::{
-    direct_stationary, dot, power_stationary, stationary_iteration, Method, SolveStats,
+    direct_stationary, dot, power_stationary, sweep_stationary, Method, SolveStats,
     SolverOptions,
 };
 use crate::sparse::{CooMatrix, CsrMatrix};
@@ -207,6 +207,8 @@ impl Ctmc {
     ) -> Result<(Vec<f64>, SolveStats)> {
         let _span = dtc_obs::stage_span("stationary_solve");
         let n = self.num_states();
+        // Schedule depth of a sweep method's solve (1 = row order).
+        let mut levels = None;
         let result = match method {
             Method::Direct => direct_stationary(&self.q),
             Method::Power => {
@@ -215,9 +217,11 @@ impl Ctmc {
                 power_stationary(&p, &vec![1.0 / n as f64; n], opts)
             }
             Method::Jacobi | Method::GaussSeidel | Method::Sor => {
-                let qt = self.q.transpose();
-                match stationary_iteration(&qt, &vec![1.0 / n as f64; n], method, opts) {
-                    Ok(r) => Ok(r),
+                match sweep_stationary(&self.q, true, &vec![1.0 / n as f64; n], method, opts) {
+                    Ok((x, stats, depth)) => {
+                        levels = Some(depth);
+                        Ok((x, stats))
+                    }
                     // Gauss–Seidel can stall on nearly-completely-decomposable
                     // stiff chains; fall back to the exact solver when the
                     // chain is small enough for O(n^3) to be bearable.
@@ -234,10 +238,11 @@ impl Ctmc {
             dtc_obs::trace::attr_int("iterations", stats.iterations as i64);
             dtc_obs::trace::attr_float("residual", stats.residual);
             dtc_obs::trace::attr_str("method", &stats.method.to_string());
-            // Only the power method runs the parallel kernels; the sweep
-            // methods are inherently sequential.
-            if matches!(method, Method::Power) {
+            if !matches!(method, Method::Direct) {
                 dtc_obs::trace::attr_int("threads", opts.resolved_threads() as i64);
+            }
+            if let Some(levels) = levels {
+                dtc_obs::trace::attr_int("levels", levels as i64);
             }
         }
         result

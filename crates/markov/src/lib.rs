@@ -10,9 +10,10 @@
 //!   solutions by uniformization ([`ctmc`], [`solve`], [`transient`]),
 //!   including whole transient/interval curves from a single shared power
 //!   march ([`curve`], instrumented via [`instrument`]),
-//! * deterministic parallel kernels behind the march and the power method
-//!   ([`par`]): fixed row blocks over scoped threads, bit-identical
-//!   results at every thread count,
+//! * deterministic parallel kernels behind the march, the power method
+//!   and level-scheduled Gauss–Seidel/SOR sweeps ([`par`], [`solve`]):
+//!   fixed row blocks over scoped threads, bit-identical results at every
+//!   thread count,
 //! * discrete-time chains ([`dtmc`]),
 //! * absorbing-chain analysis — mean time to absorption and absorption
 //!   probabilities — for reliability/MTTF questions ([`absorbing`]).

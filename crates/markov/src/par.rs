@@ -20,12 +20,16 @@
 //! Scoped `std::thread` workers are used — the workspace builds offline,
 //! so rayon is unavailable by design (see `crates/shims/`). A scope is
 //! spawned per kernel call (or per march step in
-//! [`crate::curve::uniformized_pass_with`]); spawn cost amortizes over the
-//! 100k-state matrices these kernels target, and `threads <= 1` takes a
-//! spawn-free serial path through the *same* block loop.
+//! [`crate::curve::uniformized_pass_with`], or once per solve for the
+//! level-scheduled Gauss–Seidel sweeps in [`crate::solve`], whose workers
+//! meet at a spin-then-yield barrier between levels); spawn cost
+//! amortizes over the 100k-state matrices these kernels target, and
+//! `threads <= 1` takes a spawn-free serial path through the *same* block
+//! loop.
 
 use crate::sparse::CsrMatrix;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Upper bound on the number of row blocks. 64 blocks keep every core of
 /// any realistic machine busy while the per-block slices stay large enough
@@ -163,12 +167,72 @@ pub fn mul_vec_into(a: &CsrMatrix, x: &[f64], y: &mut [f64], threads: usize) {
     run_jobs(jobs, threads);
 }
 
+/// The seed of every blocked sum: `-0.0`, the additive identity
+/// (`-0.0 + v == v` for every `v`, `+0.0` included) and the seed
+/// `Iterator::sum` uses for floats. Callers that build block partials
+/// incrementally — the fused Gauss–Seidel sweep adds each entry as it
+/// writes it — start from it, so their sums equal [`blocked_sum`] bit for
+/// bit.
+pub(crate) const SUM_SEED: f64 = -0.0;
+
+/// Adds block partials in the order given (ascending block order, by the
+/// callers' contract), starting from [`SUM_SEED`].
+pub(crate) fn combine_partials(partials: impl IntoIterator<Item = f64>) -> f64 {
+    partials.into_iter().fold(SUM_SEED, |acc, p| acc + p)
+}
+
 /// Sum of `x` in fixed block order: serial partial sums per block, partials
 /// combined in ascending block order. The result depends only on `x.len()`
 /// and the values — never on a thread count — so callers can normalize
 /// disjoint sub-slices against the same total (see `dtc_markov::solve`).
 pub fn blocked_sum(x: &[f64]) -> f64 {
-    block_ranges(x.len()).into_iter().map(|r| x[r].iter().sum::<f64>()).sum()
+    combine_partials(
+        block_ranges(x.len()).into_iter().map(|r| x[r].iter().fold(SUM_SEED, |a, v| a + v)),
+    )
+}
+
+/// Spins this many rounds before a barrier waiter starts yielding its core.
+const SPIN_ROUNDS: u32 = 256;
+
+/// A reusable barrier for a fixed party of scoped workers: each waiter
+/// spins briefly, then yields, until the last one arrives. Everything a
+/// worker wrote before [`SpinBarrier::wait`] is visible to every worker
+/// after it returns (the arrival count is a release sequence, the
+/// generation bump publishes it).
+pub(crate) struct SpinBarrier {
+    parties: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+}
+
+impl SpinBarrier {
+    /// A barrier for `parties` workers (at least one).
+    pub(crate) fn new(parties: usize) -> Self {
+        SpinBarrier {
+            parties: parties.max(1),
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+        }
+    }
+
+    /// Blocks until all parties have called `wait` for this round.
+    pub(crate) fn wait(&self) {
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.store(generation.wrapping_add(1), Ordering::Release);
+            return;
+        }
+        let mut spins = 0;
+        while self.generation.load(Ordering::Acquire) == generation {
+            if spins < SPIN_ROUNDS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
 }
 
 /// Dot product `Σ aᵢ·bᵢ` in fixed block order, with the per-block partials
@@ -264,6 +328,49 @@ mod tests {
             block_ranges(x.len()).into_iter().map(|r| x[r].iter().sum::<f64>()).sum();
         assert_eq!(blocked_sum(&x).to_bits(), manual.to_bits());
         assert_eq!(blocked_sum(&[]), 0.0);
+    }
+
+    #[test]
+    fn blocked_sum_equals_iterator_sum_bitwise() {
+        // The explicit SUM_SEED fold must agree with `Iterator::sum`,
+        // including the sign of an all-negative-zero sum.
+        for x in [
+            vec![-0.0; 3],
+            vec![0.0, -0.0],
+            vec![],
+            (0..200).map(|i| (i as f64).cos()).collect(),
+        ] {
+            let std_sum: f64 =
+                block_ranges(x.len()).into_iter().map(|r| x[r].iter().sum::<f64>()).sum();
+            assert_eq!(blocked_sum(&x).to_bits(), std_sum.to_bits(), "{x:?}");
+        }
+    }
+
+    #[test]
+    fn spin_barrier_publishes_writes_between_rounds() {
+        use std::sync::atomic::AtomicU64;
+        let workers = 4;
+        let rounds = 200;
+        let barrier = SpinBarrier::new(workers);
+        let slots: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let (barrier, slots) = (&barrier, &slots);
+                scope.spawn(move || {
+                    for round in 1..=rounds {
+                        slots[w].store(round, Ordering::Relaxed);
+                        barrier.wait();
+                        // Every worker's write of this round is visible...
+                        for slot in slots {
+                            assert_eq!(slot.load(Ordering::Relaxed), round);
+                        }
+                        // ...and nobody starts the next round before all
+                        // have checked.
+                        barrier.wait();
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use crate::error::{MarkovError, Result};
 use crate::par;
 use crate::sparse::CsrMatrix;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Convergence/iteration knobs shared by the iterative solvers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,12 +44,14 @@ pub struct SolverOptions {
     /// error can exceed the last delta, so results accepted this way carry
     /// their achieved residual in [`SolveStats`] for the caller to judge.
     pub accept_loose: f64,
-    /// Worker threads for the parallel kernels (the uniformized march and
-    /// the power method): `0` (the default) means one per available core,
-    /// `1` forces the serial path. A pure scheduling knob — results are
-    /// bit-identical at every value (see [`crate::par`]) and it is
-    /// excluded from evaluation-cache identity. Sweep-based methods
-    /// (Jacobi/Gauss–Seidel/SOR) are inherently sequential and ignore it.
+    /// Worker threads for the parallel kernels (the uniformized march, the
+    /// power method, and Gauss–Seidel/SOR sweeps): `0` (the default) means
+    /// one per available core, `1` forces the serial path. A pure
+    /// scheduling knob — results are bit-identical at every value (see
+    /// [`crate::par`]) and it is excluded from evaluation-cache identity.
+    /// Gauss–Seidel and SOR sweep the rows of each dependency level in
+    /// parallel when the chain's levels are wide enough, and in row order
+    /// otherwise (see [`stationary_iteration`]); Jacobi ignores it.
     pub threads: usize,
 }
 
@@ -288,6 +291,16 @@ pub fn power_stationary_from(
 /// Gauss–Seidel / SOR / Jacobi sweeps solving `A x = 0`, `Σx = 1` where `A`
 /// is expected to be `Qᵀ` of an irreducible generator (strictly negative
 /// diagonal, non-negative off-diagonals, columns of `Q` summing to zero).
+///
+/// Gauss–Seidel and SOR honour [`SolverOptions::threads`]. A row's
+/// dependency level is `1 + max level(j)` over its pattern neighbours
+/// `j < i` in either direction; rows of one level never read each other.
+/// When the levels are wide enough to give every worker at least 512 rows
+/// of an average level, the rows of each level are swept by several
+/// workers at once (as many as the width allows, up to the thread count). Every row still
+/// does its arithmetic in exactly the serial term order, so results and
+/// iteration counts are bit-identical at every thread count. Narrower
+/// chains are swept in row order by one worker; Jacobi always is.
 pub fn stationary_iteration(
     a: &CsrMatrix,
     x0: &[f64],
@@ -301,15 +314,29 @@ pub fn stationary_iteration(
     if x0.len() != n {
         return Err(MarkovError::DimensionMismatch { expected: n, got: x0.len() });
     }
-    let omega = match method {
-        Method::Jacobi => 1.0,
-        Method::GaussSeidel => 1.0,
-        Method::Sor => {
-            if !(0.0 < opts.relaxation && opts.relaxation < 2.0) {
-                return Err(MarkovError::BadRelaxation(opts.relaxation));
-            }
-            opts.relaxation
+    sweep_stationary(a, false, x0, method, opts).map(|(x, stats, _)| (x, stats))
+}
+
+/// The one sweep solver behind [`stationary_iteration`]. `m` is `A`, or
+/// the generator `Q` when `transpose` is set: the off-diagonal `Qᵀ` and
+/// the diagonal are then built from `Q` in one pass, so the full `Qᵀ` is
+/// never materialized. Also returns the depth of the sweep's level
+/// schedule (1 for the row-order sweep). Dimensions are the caller's to
+/// check.
+pub(crate) fn sweep_stationary(
+    m: &CsrMatrix,
+    transpose: bool,
+    x0: &[f64],
+    method: Method,
+    opts: &SolverOptions,
+) -> Result<(Vec<f64>, SolveStats, usize)> {
+    let sweep = match method {
+        Method::Jacobi => Sweep::Jacobi,
+        Method::GaussSeidel => Sweep::Relax(1.0),
+        Method::Sor if 0.0 < opts.relaxation && opts.relaxation < 2.0 => {
+            Sweep::Relax(opts.relaxation)
         }
+        Method::Sor => return Err(MarkovError::BadRelaxation(opts.relaxation)),
         other => {
             return Err(MarkovError::UnsupportedMethod {
                 method: other,
@@ -317,85 +344,446 @@ pub fn stationary_iteration(
             })
         }
     };
-    // Pre-extract diagonal; a zero diagonal entry means an absorbing state,
-    // which has no unique normalized stationary vector under this solver.
-    let mut diag = vec![0.0; n];
-    for (i, slot) in diag.iter_mut().enumerate() {
-        let d = a.get(i, i);
-        if d == 0.0 {
-            return Err(MarkovError::ZeroDiagonal { state: i });
-        }
-        *slot = d;
-    }
+    let (schedule, workers) = match sweep {
+        Sweep::Relax(_) => LevelSchedule::plan(m, opts.resolved_threads()),
+        Sweep::Jacobi => (LevelSchedule::row_order(m.nrows()), 1),
+    };
+    let levels = schedule.depth();
+    let system = SweepSystem::new(m, transpose, schedule)?;
     let mut x = x0.to_vec();
     normalize(&mut x);
-    let jacobi = matches!(method, Method::Jacobi);
-    let mut prev = vec![0.0; n];
-    let mut last_delta = f64::INFINITY;
-    for it in 1..=opts.max_iterations {
-        prev.copy_from_slice(&x);
-        if jacobi {
-            // Damped Jacobi: x_i <- (1-d)·prev_i + d·(-(Σ_{j≠i} a_ij prev_j)/a_ii).
-            // Undamped Jacobi has iteration-matrix eigenvalues on the unit
-            // circle for singular M-matrix systems (e.g. two-state chains
-            // oscillate with period 2); damping pulls them strictly inside.
-            const JACOBI_DAMPING: f64 = 0.75;
-            for i in 0..n {
-                let (cols, vals) = a.row(i);
-                let mut acc = 0.0;
-                for (c, v) in cols.iter().zip(vals) {
-                    let j = *c as usize;
-                    if j != i {
-                        acc += v * prev[j];
-                    }
-                }
-                x[i] = (1.0 - JACOBI_DAMPING) * prev[i] + JACOBI_DAMPING * (-acc / diag[i]);
-            }
-        } else {
-            for i in 0..n {
-                let (cols, vals) = a.row(i);
-                let mut acc = 0.0;
-                for (c, v) in cols.iter().zip(vals) {
-                    let j = *c as usize;
-                    if j != i {
-                        acc += v * x[j];
-                    }
-                }
-                let gs = -acc / diag[i];
-                x[i] = (1.0 - omega) * x[i] + omega * gs;
-            }
-        }
-        normalize(&mut x);
-        if it % opts.check_every == 0 || it == opts.max_iterations {
-            last_delta = max_abs_delta(&prev, &x);
-            let scale = x.iter().cloned().fold(0.0, f64::max).max(1e-300);
-            if last_delta / scale <= opts.tolerance {
-                if !sanitize_distribution(&mut x, 1e-6) {
-                    return Err(MarkovError::NotConverged {
-                        method,
-                        iterations: it,
-                        residual: last_delta,
-                    });
-                }
-                return Ok((x, SolveStats { iterations: it, residual: last_delta, method }));
-            }
+    let run = match sweep {
+        Sweep::Relax(omega) => system.relax_sweeps(workers, x, omega, opts),
+        Sweep::Jacobi => system.jacobi_sweeps(x, opts),
+    };
+    let SweepRun { mut x, iterations, last_delta, converged } = run;
+    let accepted = if converged {
+        sanitize_distribution(&mut x, 1e-6)
+    } else {
+        let scale = max_entry(&x).max(1e-300);
+        opts.accept_loose > 0.0
+            && last_delta / scale <= opts.accept_loose
+            && sanitize_distribution(&mut x, 1e-6)
+    };
+    if !accepted {
+        return Err(MarkovError::NotConverged { method, iterations, residual: last_delta });
+    }
+    Ok((x, SolveStats { iterations, residual: last_delta, method }, levels))
+}
+
+/// The per-row update a sweep applies.
+#[derive(Debug, Clone, Copy)]
+enum Sweep {
+    /// Damped Jacobi: every row reads the previous iterate.
+    Jacobi,
+    /// Gauss–Seidel (`ω = 1`) or SOR: rows read the iterate in place.
+    Relax(f64),
+}
+
+/// Damping of the Jacobi sweep: `x_i <- (1-d)·prev_i + d·(-(Σ_{j≠i} a_ij
+/// prev_j)/a_ii)`. Undamped Jacobi has iteration-matrix eigenvalues on the
+/// unit circle for singular M-matrix systems (e.g. two-state chains
+/// oscillate with period 2); damping pulls them strictly inside.
+const JACOBI_DAMPING: f64 = 0.75;
+
+/// `A = Qᵀ` split for sweeping: the off-diagonal rows (ascending columns)
+/// and the diagonal. The rows are stored in the order the sweep visits
+/// them, the schedule's level order.
+struct SweepSystem {
+    off: CsrMatrix,
+    /// Diagonal of `A`, by state.
+    diag: Vec<f64>,
+    schedule: LevelSchedule,
+}
+
+/// Where a sweep run stopped.
+struct SweepRun {
+    x: Vec<f64>,
+    iterations: usize,
+    last_delta: f64,
+    converged: bool,
+}
+
+impl SweepSystem {
+    /// Splits `m` (`A`, or `Q` when `transpose` is set). A zero diagonal
+    /// entry means an absorbing state, which has no unique normalized
+    /// stationary vector under this solver.
+    fn new(m: &CsrMatrix, transpose: bool, schedule: LevelSchedule) -> Result<Self> {
+        let (off, diag) = m.split_diagonal(transpose, schedule.slots().as_deref());
+        match diag.iter().position(|&d| d == 0.0) {
+            Some(state) => Err(MarkovError::ZeroDiagonal { state }),
+            None => Ok(SweepSystem { off, diag, schedule }),
         }
     }
-    let scale = x.iter().cloned().fold(0.0, f64::max).max(1e-300);
-    if opts.accept_loose > 0.0
-        && last_delta / scale <= opts.accept_loose
-        && sanitize_distribution(&mut x, 1e-6)
-    {
-        return Ok((
-            x,
-            SolveStats { iterations: opts.max_iterations, residual: last_delta, method },
-        ));
+
+    /// The one per-row kernel of every sweep: `Σ_{j≠i} a_ij · x_j` over
+    /// stored row `k` (state `i`'s row), terms added in ascending column
+    /// order.
+    #[inline(always)]
+    fn off_dot(&self, k: usize, x: impl Fn(usize) -> f64) -> f64 {
+        let (cols, vals) = self.off.row(k);
+        let mut acc = 0.0;
+        for (c, v) in cols.iter().zip(vals) {
+            acc += v * x(*c as usize);
+        }
+        acc
     }
-    Err(MarkovError::NotConverged {
-        method,
-        iterations: opts.max_iterations,
-        residual: last_delta,
-    })
+
+    /// Damped Jacobi sweeps (row order, one worker). Each block's share of
+    /// the normalizing sum is added up while the sweep writes the block.
+    fn jacobi_sweeps(&self, mut x: Vec<f64>, opts: &SolverOptions) -> SweepRun {
+        let blocks = par::block_ranges(x.len());
+        let mut partials = vec![0.0; blocks.len()];
+        let mut prev = x.clone();
+        let mut last_delta = f64::INFINITY;
+        for it in 1..=opts.max_iterations {
+            for (partial, rows) in partials.iter_mut().zip(&blocks) {
+                let mut sum = par::SUM_SEED;
+                for i in rows.clone() {
+                    let jacobi = -self.off_dot(i, |j| prev[j]) / self.diag[i];
+                    x[i] = (1.0 - JACOBI_DAMPING) * prev[i] + JACOBI_DAMPING * jacobi;
+                    sum += x[i];
+                }
+                *partial = sum;
+            }
+            let total = par::combine_partials(partials.iter().copied());
+            // Every Jacobi sweep reads the previous iterate.
+            let finish = Finish { copy: true, ..Finish::after(it, total, opts) };
+            let mut check = Check::default();
+            for (v, p) in x.iter_mut().zip(prev.iter_mut()) {
+                *v = finish.apply(*v, p, &mut check);
+            }
+            if finish.check {
+                last_delta = check.delta;
+                if check.converged(opts) {
+                    return SweepRun { x, iterations: it, last_delta, converged: true };
+                }
+            }
+        }
+        SweepRun { x, iterations: opts.max_iterations, last_delta, converged: false }
+    }
+
+    /// Gauss–Seidel/SOR sweeps over the levels of the schedule, the rows of
+    /// each level split over `workers` (one worker and one level is the
+    /// plain row-order sweep). One `std::thread::scope` serves the whole
+    /// solve; workers meet at a [`par::SpinBarrier`] after every level. The
+    /// normalizing sum, the `prev` copy and the convergence check run over
+    /// the fixed [`par::block_ranges`] blocks, each worker owning a
+    /// contiguous run of them.
+    fn relax_sweeps(
+        &self,
+        workers: usize,
+        x: Vec<f64>,
+        omega: f64,
+        opts: &SolverOptions,
+    ) -> SweepRun {
+        let n = x.len();
+        let blocks = par::block_ranges(n);
+        let nb = blocks.len();
+        let workers = workers.min(nb).max(1);
+        let mut prev = x.clone();
+        let shared = Shared {
+            system: self,
+            omega,
+            opts,
+            workers,
+            x: x.into_iter().map(|v| AtomicU64::new(v.to_bits())).collect(),
+            partials: blocks.iter().map(|_| AtomicU64::new(0)).collect(),
+            maxima: (0..workers).map(|_| [AtomicU64::new(0), AtomicU64::new(0)]).collect(),
+            barrier: par::SpinBarrier::new(workers),
+            blocks,
+        };
+        // Worker w owns blocks w·nb/W .. (w+1)·nb/W, which cover rows
+        // b·n/nb for b in that range, and the matching rows of `prev`.
+        let mut owned = Vec::with_capacity(workers);
+        let mut rest = prev.as_mut_slice();
+        for w in 0..workers {
+            let ours = (w * nb / workers)..((w + 1) * nb / workers);
+            let rows = (ours.start * n / nb.max(1))..(ours.end * n / nb.max(1));
+            let (head, tail) = rest.split_at_mut(rows.len());
+            owned.push(Owned { worker: w, blocks: ours, base: rows.start, prev: head });
+            rest = tail;
+        }
+        let (iterations, last_delta, converged) = std::thread::scope(|scope| {
+            let shared = &shared;
+            let mut owned = owned.into_iter();
+            let first = owned.next().expect("at least one worker");
+            for other in owned {
+                scope.spawn(move || shared.work(other));
+            }
+            shared.work(first)
+        });
+        let x = shared.x.into_iter().map(|v| f64::from_bits(v.into_inner())).collect();
+        SweepRun { x, iterations, last_delta, converged }
+    }
+}
+
+/// One worker's share of a Gauss–Seidel/SOR solve: its index, its run of
+/// fixed blocks, the first row of that run, and those rows of `prev`.
+struct Owned<'a> {
+    worker: usize,
+    blocks: std::ops::Range<usize>,
+    base: usize,
+    prev: &'a mut [f64],
+}
+
+/// What every worker of a Gauss–Seidel/SOR solve shares.
+///
+/// The atomics are read and written `Relaxed`: between a write by one
+/// worker and a read by another there is always a [`par::SpinBarrier`]
+/// wait, whose release/acquire pairing orders them, and between two waits
+/// no entry is written by one worker while another reads it (rows of one
+/// level are never neighbours; blocks have one owner).
+struct Shared<'a> {
+    system: &'a SweepSystem,
+    omega: f64,
+    opts: &'a SolverOptions,
+    workers: usize,
+    blocks: Vec<std::ops::Range<usize>>,
+    /// The iterate, as `f64` bit patterns.
+    x: Vec<AtomicU64>,
+    /// Per-block shares of the normalizing sum.
+    partials: Vec<AtomicU64>,
+    /// Per-worker `[delta, max entry]` of a convergence check.
+    maxima: Vec<[AtomicU64; 2]>,
+    barrier: par::SpinBarrier,
+}
+
+impl Shared<'_> {
+    /// One worker's side of the solve; every worker returns the same
+    /// `(iterations, last_delta, converged)`.
+    fn work(&self, own: Owned<'_>) -> (usize, f64, bool) {
+        let Owned { worker: w, blocks, base, prev } = own;
+        let (system, workers, opts) = (self.system, self.workers, self.opts);
+        let x = self.x.as_slice();
+        let at = |j: usize| f64::from_bits(x[j].load(Ordering::Relaxed));
+        // The per-row update of state `i`, stored row `k`.
+        let relax = |k: usize, i: usize| {
+            let gs = -system.off_dot(k, at) / system.diag[i];
+            let v = (1.0 - self.omega) * at(i) + self.omega * gs;
+            x[i].store(v.to_bits(), Ordering::Relaxed);
+            v
+        };
+        let row_order = workers == 1 && system.schedule.depth() == 1;
+        let mut last_delta = f64::INFINITY;
+        for it in 1..=opts.max_iterations {
+            if row_order {
+                // One worker visiting the states in order adds up each
+                // block's share of the normalizing sum as it sweeps it.
+                for (b, rows) in self.blocks.iter().enumerate() {
+                    let sum = rows.clone().fold(par::SUM_SEED, |acc, i| acc + relax(i, i));
+                    self.partials[b].store(sum.to_bits(), Ordering::Relaxed);
+                }
+            } else {
+                for level in system.schedule.levels() {
+                    let len = level.len();
+                    let ours = (level.start + w * len / workers)
+                        ..(level.start + (w + 1) * len / workers);
+                    for k in ours {
+                        relax(k, system.schedule.rows[k] as usize);
+                    }
+                    self.barrier.wait();
+                }
+                for b in blocks.clone() {
+                    let sum = self.blocks[b].clone().fold(par::SUM_SEED, |acc, i| acc + at(i));
+                    self.partials[b].store(sum.to_bits(), Ordering::Relaxed);
+                }
+            }
+            self.barrier.wait();
+            let total = par::combine_partials(
+                self.partials.iter().map(|p| f64::from_bits(p.load(Ordering::Relaxed))),
+            );
+            let finish = Finish::after(it, total, opts);
+            let mut check = Check::default();
+            for (d, p) in prev.iter_mut().enumerate() {
+                let i = base + d;
+                x[i].store(finish.apply(at(i), p, &mut check).to_bits(), Ordering::Relaxed);
+            }
+            if finish.check {
+                self.maxima[w][0].store(check.delta.to_bits(), Ordering::Relaxed);
+                self.maxima[w][1].store(check.max.to_bits(), Ordering::Relaxed);
+            }
+            self.barrier.wait();
+            if finish.check {
+                let mut all = Check::default();
+                for [delta, max] in &self.maxima {
+                    all.delta = all.delta.max(f64::from_bits(delta.load(Ordering::Relaxed)));
+                    all.max = all.max.max(f64::from_bits(max.load(Ordering::Relaxed)));
+                }
+                last_delta = all.delta;
+                if all.converged(opts) {
+                    return (it, last_delta, true);
+                }
+            }
+        }
+        (opts.max_iterations, last_delta, false)
+    }
+}
+
+/// The element-wise pass that ends every sweep: normalize by the sweep's
+/// total, fold the convergence check when this sweep checks, and refresh
+/// `prev` when the next sweep will read it. Per element, the same
+/// operations in the same order as `normalize` followed by the delta and
+/// max folds over whole vectors.
+#[derive(Debug, Clone, Copy)]
+struct Finish {
+    total: f64,
+    check: bool,
+    copy: bool,
+}
+
+impl Finish {
+    fn after(it: usize, total: f64, opts: &SolverOptions) -> Finish {
+        let checks = |k: usize| k.is_multiple_of(opts.check_every) || k == opts.max_iterations;
+        Finish { total, check: checks(it), copy: checks(it + 1) }
+    }
+
+    #[inline(always)]
+    fn apply(&self, v: f64, prev: &mut f64, check: &mut Check) -> f64 {
+        let v = if self.total != 0.0 { v / self.total } else { v };
+        if self.check {
+            check.delta = check.delta.max((*prev - v).abs());
+            check.max = check.max.max(v);
+        }
+        if self.copy {
+            *prev = v;
+        }
+        v
+    }
+}
+
+/// Running maxima of a convergence check: `max |prev − x|` and `max x`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Check {
+    delta: f64,
+    max: f64,
+}
+
+impl Check {
+    fn converged(&self, opts: &SolverOptions) -> bool {
+        self.delta / self.max.max(1e-300) <= opts.tolerance
+    }
+}
+
+/// Rows grouped into dependency levels, for sweeping a level's rows in
+/// parallel with serial results.
+///
+/// `level(i) = 1 + max level(j)` over the off-diagonal pattern neighbours
+/// `j < i` of row `i`, in both directions (0 when there are none):
+///
+/// * `a_ij ≠ 0`, `j < i` is a true dependency — row `i` reads the *new*
+///   `x_j`, so row `j` must run first;
+/// * `a_ji ≠ 0`, `j < i` is an anti-dependency — row `j` reads the *old*
+///   `x_i`, so row `i` must run after row `j`.
+///
+/// Rows of one level are therefore never neighbours: sweeping the levels
+/// in order, with any split of each level's rows, gives every row exactly
+/// the inputs — and so exactly the arithmetic — of the serial row-order
+/// sweep. The rule is symmetric in `a_ij`/`a_ji`, so `Q` and `Qᵀ` have the
+/// same schedule.
+#[derive(Debug)]
+struct LevelSchedule {
+    /// States in sweep order: by level, ascending within a level.
+    rows: Vec<u32>,
+    /// `rows[starts[l]..starts[l + 1]]` is level `l`.
+    starts: Vec<usize>,
+}
+
+/// Fewest rows of an average level each worker must get; narrower
+/// schedules get fewer workers, down to the row-order sweep. Measured on a
+/// 2-vCPU VM, two workers against the row-order sweep: random layered
+/// chains of 65,536 states break even at about 50 rows per worker per
+/// level and gain 15–25 % from 128 up; the 4,350-state search7 `aa` tier
+/// (22 levels, ~99 rows per worker) loses 25 %; Fig. 7 (126,168 states,
+/// 29 levels, ~2,175 rows per worker) gains 1.4–1.7×. 512 sits well clear
+/// of every losing point, leaving room for the costlier barriers of wider
+/// machines.
+const MIN_ROWS_PER_WORKER: usize = 512;
+
+impl LevelSchedule {
+    /// The schedule of `m`'s pattern and the number of workers to sweep it
+    /// with, at most `threads`: as many as give each worker at least
+    /// [`MIN_ROWS_PER_WORKER`] rows of an average level. When fewer than
+    /// two qualify, one worker sweeps in row order.
+    fn plan(m: &CsrMatrix, threads: usize) -> (LevelSchedule, usize) {
+        let n = m.nrows();
+        if threads < 2 || n < 2 * MIN_ROWS_PER_WORKER {
+            return (LevelSchedule::row_order(n), 1);
+        }
+        let level = row_levels(m);
+        let depth = level.iter().max().map_or(0, |&l| l as usize + 1);
+        let workers = threads.min(n / (depth * MIN_ROWS_PER_WORKER));
+        if workers < 2 {
+            return (LevelSchedule::row_order(n), 1);
+        }
+        (LevelSchedule::group(&level, depth), workers)
+    }
+
+    /// All `n` rows in one level, in row order.
+    fn row_order(n: usize) -> LevelSchedule {
+        LevelSchedule { rows: (0..n as u32).collect(), starts: vec![0, n] }
+    }
+
+    /// Groups rows by level (`depth` = 1 + the largest level), ascending
+    /// rows within a level.
+    fn group(level: &[u32], depth: usize) -> LevelSchedule {
+        let mut starts = vec![0usize; depth + 1];
+        for &l in level {
+            starts[l as usize + 1] += 1;
+        }
+        for l in 0..depth {
+            starts[l + 1] += starts[l];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0u32; level.len()];
+        for (i, &l) in level.iter().enumerate() {
+            rows[next[l as usize]] = i as u32;
+            next[l as usize] += 1;
+        }
+        LevelSchedule { rows, starts }
+    }
+
+    fn depth(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Each level's range of positions in [`LevelSchedule::rows`].
+    fn levels(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.starts.windows(2).map(|w| w[0]..w[1])
+    }
+
+    /// Where each state sits in sweep order: the inverse of `rows`, or
+    /// `None` when that is row order (a single level is always ascending).
+    fn slots(&self) -> Option<Vec<u32>> {
+        if self.depth() == 1 {
+            return None;
+        }
+        let mut slot = vec![0u32; self.rows.len()];
+        for (k, &i) in self.rows.iter().enumerate() {
+            slot[i as usize] = k as u32;
+        }
+        Some(slot)
+    }
+}
+
+/// The level of every row of `m`'s off-diagonal pattern (see
+/// [`LevelSchedule`]), in one ascending pass: a row's level is final once
+/// its lower neighbours are, and it then raises its upper neighbours
+/// (anti-dependencies) before their turn comes. Diagonal entries are
+/// ignored.
+fn row_levels(m: &CsrMatrix) -> Vec<u32> {
+    let mut level = vec![0u32; m.nrows()];
+    for i in 0..m.nrows() {
+        let cols = m.row(i).0;
+        let lower = cols.partition_point(|&c| (c as usize) < i);
+        let upper = cols.partition_point(|&c| (c as usize) <= i);
+        let l = cols[..lower].iter().fold(level[i], |l, &j| l.max(level[j as usize] + 1));
+        level[i] = l;
+        for &j in &cols[upper..] {
+            level[j as usize] = level[j as usize].max(l + 1);
+        }
+    }
+    level
 }
 
 /// Dense direct solve of `π Q = 0`, `Σπ = 1` by Gaussian elimination with
@@ -628,6 +1016,165 @@ mod tests {
         let opts = SolverOptions { relaxation: 2.5, ..Default::default() };
         let err = stationary_iteration(&qt, &[0.5, 0.5], Method::Sor, &opts).unwrap_err();
         assert!(matches!(err, MarkovError::BadRelaxation(_)));
+    }
+
+    /// A 5-state off-diagonal pattern (rows of `Qᵀ`: row `i` reads the
+    /// listed columns) pinning the level rule:
+    ///
+    /// * row 0 reads 3 — an anti-dependency, so row 3 goes after row 0;
+    /// * row 1 reads 0 — a true dependency: level(1) = level(0) + 1 = 1;
+    /// * row 2 has no lower neighbour: level 0, beside row 0;
+    /// * row 3 reads 1 (true, level ≥ 2) and is read by row 0 (anti, ≥ 1);
+    /// * row 4 is only read by row 2: its level (1) comes from the
+    ///   anti-dependency alone.
+    fn five_state_pattern() -> CsrMatrix {
+        let mut coo = CooMatrix::new(5, 5);
+        for (i, j) in [(0, 3), (1, 0), (2, 4), (3, 1)] {
+            coo.push(i, j, 1.0);
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    #[test]
+    fn level_rule_orders_true_and_anti_dependencies() {
+        let off = five_state_pattern();
+        let level = row_levels(&off);
+        assert_eq!(level, vec![0, 1, 0, 2, 1]);
+        // The rule is symmetric: the transpose has the same levels.
+        assert_eq!(row_levels(&off.transpose()), level);
+        let schedule = LevelSchedule::group(&level, 3);
+        assert_eq!(schedule.depth(), 3);
+        assert_eq!(schedule.rows, vec![0, 2, 1, 4, 3]);
+        assert_eq!(schedule.levels().collect::<Vec<_>>(), vec![0..2, 2..4, 4..5]);
+        assert_eq!(schedule.slots(), Some(vec![0, 2, 1, 4, 3]));
+        // No two rows of a level are neighbours, in either direction.
+        for range in schedule.levels() {
+            let rows = &schedule.rows[range];
+            for &i in rows {
+                for &j in rows {
+                    assert_eq!(off.get(i as usize, j as usize), 0.0, "rows {i}, {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn level_schedule_gives_each_worker_enough_rows() {
+        let n = 4 * MIN_ROWS_PER_WORKER;
+        // n states with no transitions between them: one level, n wide.
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, -1.0);
+        }
+        let wide = CsrMatrix::from_coo(&coo);
+        for (threads, workers) in [(1, 1), (2, 2), (3, 3), (8, 4)] {
+            let (schedule, got) = LevelSchedule::plan(&wide, threads);
+            assert_eq!((schedule.depth(), got), (1, workers), "{threads} threads");
+        }
+        // Two levels of n/2 rows: the same rows, half the workers.
+        for i in (0..n).step_by(2) {
+            coo.push(i, i + 1, 1.0);
+        }
+        let (schedule, workers) = LevelSchedule::plan(&CsrMatrix::from_coo(&coo), 8);
+        assert_eq!((schedule.depth(), workers), (2, 2));
+        // A birth–death chain: every row depends on the one before it.
+        for i in 0..n - 1 {
+            coo.push(i, i + 1, 1.0);
+            coo.push(i + 1, i, 1.0);
+        }
+        let deep = CsrMatrix::from_coo(&coo);
+        assert_eq!(row_levels(&deep).last(), Some(&(n as u32 - 1)));
+        let (schedule, workers) = LevelSchedule::plan(&deep, 8);
+        assert_eq!((schedule.depth(), workers), (1, 1), "too deep: row order");
+        assert_eq!(schedule.slots(), None);
+    }
+
+    /// The textbook serial Gauss–Seidel/SOR loop on `A = Qᵀ` from a
+    /// normalized start: full rows skipping the diagonal, a whole-vector
+    /// `normalize`, `prev` copied every sweep. Returns `(x, iterations,
+    /// last delta)` at convergence.
+    fn textbook_relax(
+        a: &CsrMatrix,
+        x0: &[f64],
+        omega: f64,
+        opts: &SolverOptions,
+    ) -> (Vec<f64>, usize, f64) {
+        let n = a.nrows();
+        let mut x = x0.to_vec();
+        for it in 1..=opts.max_iterations {
+            let prev = x.clone();
+            for i in 0..n {
+                let (cols, vals) = a.row(i);
+                let mut acc = 0.0;
+                for (&c, v) in cols.iter().zip(vals) {
+                    if c as usize != i {
+                        acc += v * x[c as usize];
+                    }
+                }
+                x[i] = (1.0 - omega) * x[i] + omega * (-acc / a.get(i, i));
+            }
+            normalize(&mut x);
+            if it % opts.check_every == 0 {
+                let delta = max_abs_delta(&prev, &x);
+                if delta / max_entry(&x).max(1e-300) <= opts.tolerance {
+                    return (x, it, delta);
+                }
+            }
+        }
+        panic!("textbook sweep did not converge");
+    }
+
+    #[test]
+    fn relax_sweeps_equal_the_textbook_loop_at_every_worker_count() {
+        // A small layered chain (no transitions inside a layer), swept with
+        // its level schedule regardless of the width cutoff, and in row
+        // order.
+        let (layers, width) = (4, 30);
+        let n = layers * width;
+        let mut q = CooMatrix::new(n, n);
+        let mut out = vec![0.0; n];
+        let mut rate = |q: &mut CooMatrix, from: usize, to: usize, r: f64| {
+            q.push(from, to, r);
+            out[from] += r;
+        };
+        for m in 0..width {
+            for l in 0..layers {
+                let from = l * width + m;
+                let to = if l + 1 < layers { from + width } else { (m + 1) % width };
+                rate(&mut q, from, to, 0.5 + ((from * 7) % 11) as f64 / 4.0);
+                rate(&mut q, from, ((l + 2) % layers) * width + (m * 5) % width, 0.3);
+            }
+        }
+        for (i, &o) in out.iter().enumerate() {
+            q.push(i, i, -o);
+        }
+        let q = CsrMatrix::from_coo(&q);
+        let level = row_levels(&q);
+        let depth = *level.iter().max().unwrap() as usize + 1;
+        assert!((2..=layers).contains(&depth), "layers bound the schedule depth");
+        let row_order = SweepSystem::new(&q, true, LevelSchedule::row_order(n)).unwrap();
+        let leveled = SweepSystem::new(&q, true, LevelSchedule::group(&level, depth)).unwrap();
+        let opts = SolverOptions { check_every: 3, ..Default::default() };
+        // `sweep_stationary` normalizes the start vector before sweeping.
+        let mut x0 = vec![1.0 / n as f64; n];
+        normalize(&mut x0);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for omega in [1.0, 0.85] {
+            let (x, iterations, delta) = textbook_relax(&q.transpose(), &x0, omega, &opts);
+            let runs =
+                std::iter::once((&row_order, 1)).chain([1, 2, 3, 4, 8].map(|w| (&leveled, w)));
+            for (system, workers) in runs {
+                let run = system.relax_sweeps(workers, x0.clone(), omega, &opts);
+                let what = format!(
+                    "omega {omega}, depth {}, {workers} workers",
+                    system.schedule.depth()
+                );
+                assert!(run.converged, "{what}");
+                assert_eq!(bits(&run.x), bits(&x), "{what}");
+                assert_eq!(run.iterations, iterations, "{what}");
+                assert_eq!(run.last_delta.to_bits(), delta.to_bits(), "{what}");
+            }
+        }
     }
 
     #[test]

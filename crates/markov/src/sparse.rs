@@ -3,7 +3,8 @@
 //! The solvers in this crate only need a handful of operations: building a
 //! matrix from unordered `(row, col, value)` triplets, row traversal,
 //! transposition (Gauss–Seidel sweeps need column access of the generator,
-//! which we obtain by storing the transpose), vector products, and scaling.
+//! which they get from its off-diagonal transpose), vector products, and
+//! scaling.
 //!
 //! # Examples
 //!
@@ -270,6 +271,64 @@ impl CsrMatrix {
         CsrMatrix { nrows: self.ncols, ncols: self.nrows, row_ptr, col_idx, values }
     }
 
+    /// Splits a square matrix into its off-diagonal part and its diagonal
+    /// in one pass, transposing the off-diagonal part on the way when
+    /// `transpose` is set. Rows of the result keep ascending column order
+    /// either way — the order [`CsrMatrix::transpose`] produces — so a row
+    /// dot over the off-diagonal part adds the same terms in the same order
+    /// as one over the full row that skips the diagonal. With `slot`, row
+    /// `r` of the result is stored as row `slot[r]` (a permutation), so a
+    /// caller can lay rows out in the order it will visit them.
+    ///
+    /// The Gauss–Seidel sweeps read `Qᵀ` this way straight from `Q`,
+    /// without materializing the full transpose or searching each row for
+    /// its diagonal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square.
+    pub(crate) fn split_diagonal(
+        &self,
+        transpose: bool,
+        slot: Option<&[u32]>,
+    ) -> (CsrMatrix, Vec<f64>) {
+        assert_eq!(self.nrows, self.ncols, "split_diagonal needs a square matrix");
+        let n = self.nrows;
+        let stored = |r: usize| slot.map_or(r, |s| s[r] as usize);
+        let mut row_ptr = vec![0usize; n + 1];
+        for r in 0..n {
+            for &c in self.row(r).0 {
+                let c = c as usize;
+                if c != r {
+                    row_ptr[stored(if transpose { c } else { r }) + 1] += 1;
+                }
+            }
+        }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let mut diag = vec![0.0; n];
+        let mut col_idx = vec![0u32; row_ptr[n]];
+        let mut values = vec![0.0; row_ptr[n]];
+        let mut next = row_ptr.clone();
+        for (r, d) in diag.iter_mut().enumerate() {
+            let (cols, vals) = self.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let c = c as usize;
+                if c == r {
+                    *d = v;
+                    continue;
+                }
+                let (dst, src) = if transpose { (c, r) } else { (r, c) };
+                let at = &mut next[stored(dst)];
+                col_idx[*at] = src as u32;
+                values[*at] = v;
+                *at += 1;
+            }
+        }
+        (CsrMatrix { nrows: n, ncols: n, row_ptr, col_idx, values }, diag)
+    }
+
     /// Multiplies every stored entry by `s`.
     pub fn scale(&mut self, s: f64) {
         for v in &mut self.values {
@@ -384,6 +443,31 @@ mod tests {
         assert_eq!(m.to_dense(), mtt.to_dense());
         assert_eq!(mt.get(2, 0), 2.0);
         assert_eq!(mt.get(0, 2), 4.0);
+    }
+
+    #[test]
+    fn split_diagonal_matches_transpose_without_diagonal() {
+        let m = sample();
+        for transpose in [false, true] {
+            let full = if transpose { m.transpose() } else { m.clone() };
+            let (off, diag) = m.split_diagonal(transpose, None);
+            assert_eq!(diag, vec![1.0, 3.0, 5.0]);
+            let expect: Vec<_> = full.iter().filter(|&(i, j, _)| i != j).collect();
+            assert_eq!(off.iter().collect::<Vec<_>>(), expect, "transpose = {transpose}");
+            // Stored in a permuted order, each row keeps its entries.
+            let slot = [2u32, 0, 1];
+            let (moved, moved_diag) = m.split_diagonal(transpose, Some(&slot));
+            assert_eq!(moved_diag, diag);
+            for (r, &k) in slot.iter().enumerate() {
+                assert_eq!(moved.row(k as usize), off.row(r), "row {r}");
+            }
+        }
+        // A missing diagonal entry reads as zero.
+        let mut coo = CooMatrix::new(2, 2);
+        coo.push(0, 1, 2.0);
+        let (off, diag) = CsrMatrix::from_coo(&coo).split_diagonal(true, None);
+        assert_eq!(diag, vec![0.0, 0.0]);
+        assert_eq!(off.get(1, 0), 2.0);
     }
 
     #[test]

@@ -9,11 +9,17 @@
 //! full-vector mode, because projection intentionally skips the final
 //! defensive renormalization.
 //!
+//! Gauss–Seidel and SOR are checked on layered chains wide enough to take
+//! the level-scheduled sweep and on a birth–death chain too deep for it;
+//! the `levels` attribute of the `stationary_solve` span shows which path
+//! ran.
+//!
 //! Seeded SplitMix64 keeps cases deterministic across runs (the external
 //! `proptest` crate is unavailable offline).
 
 use dtc_markov::curve::{uniformized_pass_with, PassOptions, PassOutput};
-use dtc_markov::{dot, par, Ctmc, CtmcBuilder, Method, SolverOptions};
+use dtc_markov::{dot, par, Ctmc, CtmcBuilder, Method, SolveStats, SolverOptions};
+use dtc_obs::trace::{self, AttrValue, TraceContext, TraceId};
 
 /// Deterministic pseudo-random stream (SplitMix64).
 struct Gen(u64);
@@ -56,6 +62,35 @@ impl Gen {
             let to = self.usize_in(0, n - 1);
             if from != to {
                 b.rate(from, to, self.f64_in(0.01, 10.0));
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// A random irreducible CTMC of 3–5 layers of 1,100–1,500 states with
+    /// no transition inside a layer. Every row's lower neighbours then sit
+    /// in lower layers, so the Gauss–Seidel level schedule is at most one
+    /// level per layer: over a thousand rows wide, which takes the
+    /// level-scheduled sweep at two or more threads. Rates stay within two
+    /// decades, so the sweeps converge in few iterations even in a debug
+    /// build.
+    fn layered_ctmc(&mut self) -> Ctmc {
+        let layers = self.usize_in(3, 5);
+        let width = self.usize_in(1_100, 1_500);
+        let n = layers * width;
+        let mut b = CtmcBuilder::new(n);
+        // A cycle through every state that changes layer on each step.
+        for m in 0..width {
+            for l in 0..layers {
+                let to = if l + 1 < layers { (l + 1) * width + m } else { (m + 1) % width };
+                b.rate(l * width + m, to, self.f64_in(0.5, 5.0));
+            }
+        }
+        for from in 0..n {
+            for _ in 0..2 {
+                let layer = (from / width + self.usize_in(1, layers - 1)) % layers;
+                let to = layer * width + self.usize_in(0, width - 1);
+                b.rate(from, to, self.f64_in(0.1, 5.0));
             }
         }
         b.build().unwrap()
@@ -275,4 +310,82 @@ fn spmv_and_dot_kernels_bit_identical_on_generators() {
             );
         }
     }
+}
+
+/// Solves under a fresh trace; returns the solution and the `levels`
+/// attribute of the `stationary_solve` span (the sweep's schedule depth,
+/// 1 for the row-order sweep).
+fn solve_traced(
+    c: &Ctmc,
+    method: Method,
+    opts: &SolverOptions,
+) -> ((Vec<f64>, SolveStats), i64) {
+    let ctx = TraceContext::new(TraceId::generate());
+    let solution = {
+        let _installed = trace::install(&ctx);
+        c.steady_state_with(method, opts).unwrap()
+    };
+    let snapshot = ctx.snapshot();
+    let span = snapshot
+        .spans
+        .iter()
+        .find(|s| s.name == "stationary_solve")
+        .expect("the solve records a stationary_solve span");
+    let int = |key: &str| {
+        span.attrs.iter().find_map(|(k, v)| match v {
+            AttrValue::Int(i) if k == key => Some(*i),
+            _ => None,
+        })
+    };
+    assert_eq!(int("threads"), Some(opts.resolved_threads() as i64));
+    (solution, int("levels").expect("sweep solves record their schedule depth"))
+}
+
+/// Gauss–Seidel and SOR results at every thread count must equal the
+/// serial row-order sweep bit for bit, with the same iteration count.
+fn assert_sweeps_bit_identical(c: &Ctmc, method: Method, relaxation: f64, scheduled: bool) {
+    let n = c.num_states();
+    let opts = |threads| SolverOptions { threads, relaxation, ..Default::default() };
+    let (serial, levels) = solve_traced(c, method, &opts(1));
+    assert_eq!(serial.1.method, method, "n = {n}: the sweep converged without a fallback");
+    assert_eq!(levels, 1, "one thread sweeps in row order");
+    for &threads in &thread_counts()[1..] {
+        let (parallel, levels) = solve_traced(c, method, &opts(threads));
+        let context = format!("{method} (ω = {relaxation}), n = {n}, threads = {threads}");
+        if scheduled {
+            assert!(levels > 1, "{context}: expected the level-scheduled sweep");
+        } else {
+            assert_eq!(levels, 1, "{context}: expected the row-order sweep");
+        }
+        assert_eq!(bits(&serial.0), bits(&parallel.0), "{context}: stationary vector differs");
+        assert_eq!(serial.1.iterations, parallel.1.iterations, "{context}: iterations differ");
+        assert_eq!(serial.1.residual.to_bits(), parallel.1.residual.to_bits(), "{context}");
+    }
+}
+
+#[test]
+fn gauss_seidel_and_sor_bit_identical_across_thread_counts() {
+    let mut g = Gen(0x6A55_5E1D);
+    for _ in 0..3 {
+        let c = g.layered_ctmc();
+        assert_sweeps_bit_identical(&c, Method::GaussSeidel, 1.0, true);
+        assert_sweeps_bit_identical(&c, Method::Sor, 0.85, true);
+    }
+}
+
+#[test]
+fn deep_schedule_falls_back_to_row_order_and_still_matches() {
+    // A birth–death chain: every state depends on the one before it, so
+    // the schedule is as deep as the chain and the sweep stays in row
+    // order at every thread count. Births outpace deaths a hundredfold, so
+    // the mass piles up at the top and the sweep converges in about a
+    // hundred iterations.
+    let n = 5_000;
+    let mut b = CtmcBuilder::new(n);
+    for i in 0..n - 1 {
+        b.rate(i, i + 1, 100.0);
+        b.rate(i + 1, i, 1.0);
+    }
+    let c = b.build().unwrap();
+    assert_sweeps_bit_identical(&c, Method::GaussSeidel, 1.0, false);
 }

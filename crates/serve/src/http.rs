@@ -316,8 +316,12 @@ pub fn write_response(w: &mut impl Write, resp: &Response, keep_alive: bool) -> 
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(&resp.body)?;
+    // One write for head and body: written in two pieces on a socket with
+    // Nagle's algorithm on, the body would wait for the client's (delayed)
+    // ACK of the head.
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(&resp.body);
+    w.write_all(&wire)?;
     w.flush()
 }
 

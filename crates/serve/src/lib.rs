@@ -344,6 +344,9 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        // Responses go out as single writes; sending them at once keeps a
+        // kept-alive client from waiting on its own delayed ACKs.
+        let _ = stream.set_nodelay(true);
         if let Err(mut stream) = shared.backlog.try_push(stream) {
             // Saturated: refuse immediately instead of buffering without
             // bound. The client should retry with backoff.

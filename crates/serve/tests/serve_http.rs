@@ -482,6 +482,26 @@ fn routes_and_error_paths() {
     server.shutdown().expect("clean shutdown");
 }
 
+/// Reads one response off a kept-alive connection: header bytes up to the
+/// blank line, then exactly content-length body bytes.
+fn read_kept_alive(stream: &mut TcpStream) -> String {
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("header byte");
+        raw.push(byte[0]);
+    }
+    let head = String::from_utf8_lossy(&raw).to_lowercase();
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("content-length header");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("body");
+    String::from_utf8(body).expect("UTF-8 body")
+}
+
 #[test]
 fn keep_alive_serves_sequential_requests_on_one_connection() {
     let server = Server::start(&config()).expect("server starts");
@@ -489,35 +509,44 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
 
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let read_one = |stream: &mut TcpStream| -> String {
-        // Header-then-body read keyed on content-length, since the
-        // connection stays open.
-        let mut raw = Vec::new();
-        let mut byte = [0u8; 1];
-        while !raw.ends_with(b"\r\n\r\n") {
-            stream.read_exact(&mut byte).expect("header byte");
-            raw.push(byte[0]);
-        }
-        let head = String::from_utf8_lossy(&raw).to_lowercase();
-        let length: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("content-length:"))
-            .and_then(|v| v.trim().parse().ok())
-            .expect("content-length header");
-        let mut body = vec![0u8; length];
-        stream.read_exact(&mut body).expect("body");
-        String::from_utf8(body).expect("UTF-8 body")
-    };
-
     for _ in 0..3 {
         stream.write_all(b"GET /healthz HTTP/1.1\r\nhost: test\r\n\r\n").unwrap();
-        let body = read_one(&mut stream);
+        let body = read_kept_alive(&mut stream);
         assert!(body.contains("\"status\":\"ok\""), "{body}");
     }
     drop(stream);
 
     let stats = get_json(addr, "/v1/stats");
     assert!(int_at(&stats, "server", "requests") >= 3);
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn kept_alive_responses_do_not_wait_for_delayed_acks() {
+    // A response written in pieces on a socket with Nagle's algorithm on
+    // holds its second piece until the client ACKs the first, and the
+    // client delays that ACK by ~40 ms: every answer after the first
+    // stalls (19 of 20 took ~44 ms). The median answer must come well
+    // before, which tolerates scheduling hiccups on a loaded machine.
+    let server = Server::start(&config()).expect("server starts");
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut latencies = Vec::new();
+    for _ in 0..20 {
+        let started = std::time::Instant::now();
+        stream.write_all(b"GET /healthz HTTP/1.1\r\nhost: test\r\n\r\n").unwrap();
+        let body = read_kept_alive(&mut stream);
+        latencies.push(started.elapsed());
+        assert!(body.contains("\"status\":\"ok\""), "{body}");
+    }
+    let mut sorted = latencies.clone();
+    sorted.sort();
+    let median = sorted[sorted.len() / 2];
+    assert!(
+        median < Duration::from_millis(25),
+        "median kept-alive answer took {median:?}: {latencies:?}"
+    );
+    drop(stream);
     server.shutdown().expect("clean shutdown");
 }
 
