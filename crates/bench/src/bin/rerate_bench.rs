@@ -33,18 +33,13 @@
 use dtc_core::instrument;
 use dtc_core::prelude::*;
 use dtc_core::sensitivity::scale_parameter;
-use dtc_core::sweep::{evaluate_all_guarded, sweep_reports_from};
+use dtc_core::sweep::{evaluate_all_guarded, run_pool, sweep_reports};
 use dtc_engine::value::Value;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-/// Availability bits of every successful outcome, for exact comparison.
-fn availability_bits(outcomes: &[SweepOutcome]) -> Vec<u64> {
-    outcomes
-        .iter()
-        .map(|o| o.report.as_ref().expect("job evaluates").availability.to_bits())
-        .collect()
+/// Availability bits of every job's steady state, for exact comparison.
+fn availability_bits(outcomes: &[Result<AvailabilityReport>]) -> Vec<u64> {
+    outcomes.iter().map(|o| o.as_ref().expect("job evaluates").availability.to_bits()).collect()
 }
 
 /// Counter deltas around `f`: (explorations, re_rates, wall seconds, result).
@@ -60,6 +55,8 @@ fn measured<T>(f: impl FnOnce() -> T) -> (u64, u64, f64, T) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    // `solver.threads` is left at 0: sweeps resolve it to every core, and
+    // the executor splits its own budget.
     let opts = EvalOptions::default();
 
     // ── Sensitivity: perturbed jobs share the baseline's structure ──────
@@ -108,10 +105,19 @@ fn main() {
         cores
     );
 
+    // The shared arm seeds one registry with the baseline's structure; the
+    // unshared arm gives every job a fresh registry, so each one explores.
+    let seeded = StructureRegistry::new();
+    seeded.insert(model.net_fingerprint(), std::sync::Arc::clone(graph.structure()));
     let (shared_explores, shared_rerates, shared_seconds, shared) =
-        measured(|| sweep_reports_from(&jobs, &opts, cores, Some(graph.structure())));
-    let (unshared_explores, unshared_rerates, unshared_seconds, unshared) =
-        measured(|| sweep_reports_from(&jobs, &opts, cores, None));
+        measured(|| sweep_reports(&jobs, &opts, &seeded));
+    let (unshared_explores, unshared_rerates, unshared_seconds, unshared) = measured(|| {
+        run_pool(jobs.len(), cores, |i, job_threads| {
+            let mut opts = opts.clone();
+            opts.solver.threads = job_threads;
+            sweep_reports(&jobs[i..=i], &opts, &StructureRegistry::new()).remove(0)
+        })
+    });
     assert_eq!(
         availability_bits(&shared),
         availability_bits(&unshared),
@@ -167,24 +173,13 @@ fn main() {
         }
     }
     let (flat_explores, flat_rerates, flat_seconds, flat) = measured(|| {
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<Vec<AnalysisReport>>>> =
-            Mutex::new(vec![None; unique.len()]);
-        std::thread::scope(|scope| {
-            for _ in 0..cores.max(1) {
-                scope.spawn(|| loop {
-                    let u = next.fetch_add(1, Ordering::Relaxed);
-                    if u >= unique.len() {
-                        break;
-                    }
-                    let spec = &candidates[unique[u]].spec;
-                    let reports = evaluate_all_guarded(spec, &analyses, &opts)
-                        .expect("candidate evaluates");
-                    results.lock().unwrap()[u] = Some(reports);
-                });
-            }
-        });
-        results.into_inner().unwrap().into_iter().map(|o| o.unwrap()).collect::<Vec<_>>()
+        run_pool(unique.len(), cores, |u, job_threads| {
+            let mut opts = opts.clone();
+            opts.solver.threads = job_threads;
+            let spec = &candidates[unique[u]].spec;
+            evaluate_all_guarded(spec, &analyses, &opts, &StructureRegistry::new())
+                .expect("candidate evaluates")
+        })
     });
     for (&i, unshared) in unique.iter().zip(&flat) {
         assert_eq!(

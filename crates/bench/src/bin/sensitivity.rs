@@ -33,11 +33,12 @@ fn print_rows(rows: &[SensitivityRow]) {
 
 fn main() {
     let cs = CaseStudy::paper();
-    let opts = EvalOptions::default();
+    let mut opts = EvalOptions::default();
+    opts.solver.threads = 4;
 
     println!("=== 4 machines, one data center ===\n");
     let spec = cs.single_dc_spec(4);
-    let rows = availability_sensitivity(&spec, &opts, 0.05, 4).expect("sensitivity");
+    let rows = availability_sensitivity(&spec, &opts, 0.05).expect("sensitivity");
     print_rows(&rows);
 
     println!("\n=== Rio–Brasília two-DC (reduced: 1 PM/DC, k=1) ===\n");
@@ -46,7 +47,7 @@ fn main() {
         dc.pms.truncate(1);
     }
     spec.min_running_vms = 1;
-    let rows = availability_sensitivity(&spec, &opts, 0.05, 4).expect("sensitivity");
+    let rows = availability_sensitivity(&spec, &opts, 0.05).expect("sensitivity");
     print_rows(&rows);
 
     println!(

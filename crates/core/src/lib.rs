@@ -18,7 +18,8 @@
 //!   downtime, capacity-oriented availability,
 //! * the paper's full case study ([`scenarios`]): Table VII rows and the
 //!   Figure 7 sweep,
-//! * a parallel scenario-sweep harness ([`sweep`]).
+//! * the evaluation path ([`sweep`]): one guarded entry point, structure
+//!   sharing and the worker pool every batch fans out over.
 //!
 //! # Quickstart
 //!
@@ -95,10 +96,7 @@ pub mod prelude {
         SensitivityRow,
     };
     pub use crate::slo::{SloTarget, DESIGN_SEARCH_KIND};
-    pub use crate::sweep::{
-        evaluate_all_guarded, evaluate_all_shared, evaluate_guarded, evaluate_guarded_from,
-        sweep_reports, sweep_reports_from, StructureRegistry, SweepOutcome,
-    };
+    pub use crate::sweep::{evaluate_all_guarded, run_pool, sweep_reports, StructureRegistry};
     pub use crate::system::{
         CloudModel, CloudSystemSpec, DataCenterSpec, PmSpec, SystemSummary,
     };

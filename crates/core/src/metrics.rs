@@ -10,30 +10,15 @@ use std::fmt;
 pub struct EvalOptions {
     /// Steady-state solution method.
     pub method: Method,
-    /// Solver iteration/tolerance options. `solver.threads` also sets the
-    /// worker count for the parallel march/power kernels; like
-    /// `sweep_threads` it is a pure scheduling knob (bit-identical results
-    /// at every value) and is excluded from cache identity.
+    /// Solver iteration/tolerance options. `solver.threads` is also the
+    /// whole evaluation's thread budget: the parallel solver kernels use
+    /// it, and analyses that fan out over rebuilt models (the sensitivity
+    /// sweep) split it over their workers ([`crate::sweep::run_pool`]). A
+    /// pure scheduling knob (bit-identical results at every value),
+    /// excluded from cache identity.
     pub solver: SolverOptions,
     /// Reachability exploration options.
     pub reach: ReachOptions,
-    /// Worker threads for analyses that fan out over rebuilt models
-    /// (today: the sensitivity sweep's perturbed points). `0` means one
-    /// per available core. Purely a scheduling knob — it cannot change any
-    /// number, so it is *not* part of the evaluation cache identity.
-    pub sweep_threads: usize,
-}
-
-impl EvalOptions {
-    /// Resolves [`EvalOptions::sweep_threads`]: `0` becomes the number of
-    /// available cores.
-    pub fn resolved_sweep_threads(&self) -> usize {
-        if self.sweep_threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-        } else {
-            self.sweep_threads
-        }
-    }
 }
 
 /// The paper's dependability metrics for one system configuration.

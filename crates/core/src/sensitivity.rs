@@ -39,7 +39,7 @@
 //!     min_running_vms: 1,
 //!     migration_threshold: 1,
 //! };
-//! let rows = availability_sensitivity(&spec, &EvalOptions::default(), 0.05, 2)?;
+//! let rows = availability_sensitivity(&spec, &EvalOptions::default(), 0.05)?;
 //! assert!(!rows.is_empty());
 //! // Rows come back ranked by |elasticity|, strongest first…
 //! for pair in rows.windows(2) {
@@ -55,12 +55,11 @@
 //! # Ok::<(), CloudError>(())
 //! ```
 
+use crate::analysis::{AnalysisReport, AnalysisRequest};
 use crate::error::{CloudError, Result};
 use crate::metrics::EvalOptions;
-use crate::sweep::{evaluate_guarded_with_structure, sweep_reports_from};
+use crate::sweep::{evaluate_all_guarded, sweep_reports, StructureRegistry};
 use crate::system::CloudSystemSpec;
-use dtc_petri::TangibleStructure;
-use std::sync::Arc;
 
 /// The default central-difference step used by the unified analysis API
 /// (±5% around the base point).
@@ -410,10 +409,10 @@ pub fn scale_parameter(
 
 /// Computes availability elasticities for `params` around an
 /// already-known baseline availability, evaluating only the **perturbed**
-/// models (two per parameter) on `threads` workers.
+/// models (two per parameter) with [`sweep_reports`] on the thread budget
+/// `opts.solver.threads`.
 ///
-/// This is the engine behind both [`availability_sensitivity`] and the
-/// unified analysis pipeline
+/// This is the engine behind the unified analysis pipeline
 /// ([`crate::CloudModel::evaluate_all_on`]), where the baseline
 /// availability comes from the analysis set's shared steady-state solve —
 /// the base point is **not** rebuilt or re-solved here.
@@ -421,11 +420,11 @@ pub fn scale_parameter(
 /// Parameters absent from `spec` are skipped. Rows are sorted by
 /// descending `|elasticity|`.
 ///
-/// Perturbing a rate never changes the net's structure, so when the
-/// caller offers the baseline's explored [`TangibleStructure`], every
-/// perturbed job re-rates it instead of re-exploring — bit-identical
-/// results (see [`crate::CloudModel::state_space_from`]), one exploration
-/// for the whole study. Pass `None` to explore per job.
+/// Perturbing a rate never changes the net's structure, so a `registry`
+/// seeded with the baseline's explored structure lets every perturbed job
+/// re-rate it instead of re-exploring — bit-identical results (see
+/// [`crate::CloudModel::state_space_from`]), one exploration for the whole
+/// study. With an empty registry the first perturbed job explores.
 ///
 /// # Errors
 ///
@@ -438,8 +437,7 @@ pub fn sensitivity_with_baseline(
     base_availability: f64,
     opts: &EvalOptions,
     rel_step: f64,
-    threads: usize,
-    structure: Option<&Arc<TangibleStructure>>,
+    registry: &StructureRegistry,
 ) -> Result<Vec<SensitivityRow>> {
     if !(rel_step > 0.0 && rel_step < 1.0) {
         return Err(CloudError::BadSpec(format!(
@@ -455,13 +453,24 @@ pub fn sensitivity_with_baseline(
     let params: Vec<&Parameter> =
         params.iter().filter(|p| parameter_value(spec, p).is_some()).collect();
     let jobs = perturbed_jobs(spec, &params, rel_step);
-    let outcomes = sweep_reports_from(&jobs, opts, threads, structure);
+    let outcomes = sweep_reports(&jobs, opts, registry);
     let avail = |i: usize| -> Result<f64> {
-        outcomes[i].report.as_ref().map(|r| r.availability).map_err(Clone::clone)
+        outcomes[i].as_ref().map(|r| r.availability).map_err(Clone::clone)
     };
-    assemble_rows(spec, &params, base_availability, rel_step, |k| {
-        Ok((avail(2 * k)?, avail(2 * k + 1)?))
-    })
+    let mut rows = Vec::with_capacity(params.len());
+    for (k, p) in params.iter().enumerate() {
+        let (up, down) = (avail(2 * k)?, avail(2 * k + 1)?);
+        let dlna = (up - down) / base_availability;
+        let dlnt = 2.0 * rel_step;
+        rows.push(SensitivityRow {
+            parameter: (*p).clone(),
+            base_value: parameter_value(spec, p).expect("parameter present"),
+            elasticity: dlna / dlnt,
+            unavailability_shift: -(up - down) / dlnt,
+        });
+    }
+    rows.sort_by(|a, b| b.elasticity.abs().total_cmp(&a.elasticity.abs()));
+    Ok(rows)
 }
 
 /// The perturbed specs for `params`, in (up, down) pairs, parameter order.
@@ -478,35 +487,17 @@ fn perturbed_jobs(
     jobs
 }
 
-/// Turns per-parameter (up, down) availabilities into ranked rows.
-fn assemble_rows(
-    spec: &CloudSystemSpec,
-    params: &[&Parameter],
-    base_availability: f64,
-    rel_step: f64,
-    mut pair: impl FnMut(usize) -> Result<(f64, f64)>,
-) -> Result<Vec<SensitivityRow>> {
-    let mut rows = Vec::with_capacity(params.len());
-    for (k, p) in params.iter().enumerate() {
-        let (up, down) = pair(k)?;
-        let dlna = (up - down) / base_availability;
-        let dlnt = 2.0 * rel_step;
-        rows.push(SensitivityRow {
-            parameter: (*p).clone(),
-            base_value: parameter_value(spec, p).expect("parameter present"),
-            elasticity: dlna / dlnt,
-            unavailability_shift: -(up - down) / dlnt,
-        });
-    }
-    rows.sort_by(|a, b| b.elasticity.abs().total_cmp(&a.elasticity.abs()));
-    Ok(rows)
-}
-
 /// Computes availability elasticities for every applicable parameter of
 /// `spec` by central differences with relative step `rel_step` (e.g. 0.05
-/// = ±5%), evaluating the perturbed models on `threads` workers.
+/// = ±5%): one [`AnalysisRequest::Sensitivity`] through
+/// [`evaluate_all_guarded`], so the study costs one exploration and runs
+/// on the thread budget `opts.solver.threads`.
 ///
 /// Rows are sorted by descending `|elasticity|`.
+///
+/// # Panics
+///
+/// Panics if `rel_step` is outside `(0, 1)`.
 ///
 /// # Errors
 ///
@@ -515,29 +506,14 @@ pub fn availability_sensitivity(
     spec: &CloudSystemSpec,
     opts: &EvalOptions,
     rel_step: f64,
-    threads: usize,
 ) -> Result<Vec<SensitivityRow>> {
     assert!(rel_step > 0.0 && rel_step < 1.0, "rel_step must be in (0,1)");
-    let owned = applicable_parameters(spec);
-    let params: Vec<&Parameter> = owned.iter().collect();
-    // The base point runs first and keeps its explored structure: every
-    // perturbed job is a rate-only sibling, so the whole study costs one
-    // exploration, with the 2·|params| perturbed graphs re-rated from it
-    // (bit-identical to exploring each — see
-    // [`crate::CloudModel::state_space_from`]).
-    let (base_report, structure) = evaluate_guarded_with_structure(spec, opts)?;
-    let base = base_report.availability;
-    if !(base > 0.0 && base <= 1.0) {
-        return Err(CloudError::BadSpec(format!(
-            "sensitivity baseline availability {base} must be in (0, 1]"
-        )));
+    let request = AnalysisRequest::Sensitivity { parameters: Vec::new(), rel_step };
+    let reports = evaluate_all_guarded(spec, &[request], opts, &StructureRegistry::new())?;
+    match reports.into_iter().next() {
+        Some(AnalysisReport::Sensitivity { rows, .. }) => Ok(rows),
+        other => unreachable!("a sensitivity request yields its report, got {other:?}"),
     }
-    let jobs = perturbed_jobs(spec, &params, rel_step);
-    let outcomes = sweep_reports_from(&jobs, opts, threads, Some(&structure));
-    let avail = |i: usize| -> Result<f64> {
-        outcomes[i].report.as_ref().map(|r| r.availability).map_err(Clone::clone)
-    };
-    assemble_rows(spec, &params, base, rel_step, |k| Ok((avail(2 * k)?, avail(2 * k + 1)?)))
 }
 
 #[cfg(test)]
@@ -642,8 +618,7 @@ mod tests {
             0.99,
             &EvalOptions::default(),
             0.05,
-            1,
-            None,
+            &StructureRegistry::new(),
         )
         .unwrap();
         assert!(rows.is_empty(), "absent parameters are skipped");
@@ -664,7 +639,7 @@ mod tests {
     #[test]
     fn elasticity_signs_are_physical() {
         let s = spec();
-        let rows = availability_sensitivity(&s, &EvalOptions::default(), 0.05, 2).unwrap();
+        let rows = availability_sensitivity(&s, &EvalOptions::default(), 0.05).unwrap();
         let get = |p: &Parameter| {
             rows.iter().find(|r| &r.parameter == p).expect("row exists").elasticity
         };
@@ -682,7 +657,7 @@ mod tests {
         // the disaster (~9.9e-3); VM repair/boot timing is orders of
         // magnitude less important. The ranking must reflect that.
         let s = spec();
-        let rows = availability_sensitivity(&s, &EvalOptions::default(), 0.05, 2).unwrap();
+        let rows = availability_sensitivity(&s, &EvalOptions::default(), 0.05).unwrap();
         let top = &rows[0];
         assert!(
             matches!(
@@ -709,16 +684,20 @@ mod tests {
         // evaluations, same ordering.
         let s = spec();
         let opts = EvalOptions::default();
-        let full = availability_sensitivity(&s, &opts, 0.05, 2).unwrap();
-        let base = crate::sweep::evaluate_guarded(&s, &opts).unwrap().availability;
+        let full = availability_sensitivity(&s, &opts, 0.05).unwrap();
+        let registry = StructureRegistry::new();
+        let steady = [AnalysisRequest::SteadyState];
+        let base = match evaluate_all_guarded(&s, &steady, &opts, &registry).unwrap()[..] {
+            [AnalysisReport::SteadyState(report)] => report.availability,
+            _ => unreachable!("one steady-state report"),
+        };
         let seeded = sensitivity_with_baseline(
             &s,
             &applicable_parameters(&s),
             base,
             &opts,
             0.05,
-            2,
-            None,
+            &registry,
         )
         .unwrap();
         assert_eq!(full, seeded);
@@ -727,7 +706,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "rel_step")]
     fn bad_step_panics() {
-        let _ = availability_sensitivity(&spec(), &EvalOptions::default(), 1.5, 1);
+        let _ = availability_sensitivity(&spec(), &EvalOptions::default(), 1.5);
     }
 
     #[test]
@@ -735,15 +714,16 @@ mod tests {
         let s = spec();
         let params = applicable_parameters(&s);
         let opts = EvalOptions::default();
+        let registry = StructureRegistry::new();
         for bad in [0.0, 1.0, -0.1, f64::NAN] {
             assert!(matches!(
-                sensitivity_with_baseline(&s, &params, 0.99, &opts, bad, 1, None),
+                sensitivity_with_baseline(&s, &params, 0.99, &opts, bad, &registry),
                 Err(CloudError::BadSpec(_))
             ));
         }
         for bad in [0.0, -0.5, 1.5, f64::NAN] {
             assert!(matches!(
-                sensitivity_with_baseline(&s, &params, bad, &opts, 0.05, 1, None),
+                sensitivity_with_baseline(&s, &params, bad, &opts, 0.05, &registry),
                 Err(CloudError::BadSpec(_))
             ));
         }

@@ -1,103 +1,64 @@
-//! Parallel evaluation of scenario batches.
+//! The evaluation path: guarded evaluation, structure sharing and the
+//! worker pool every batch fans out over.
 //!
-//! The Figure 7 sweep solves 45 independent models; this module fans the
-//! work out over a scoped thread pool (`std::thread::scope`) with a shared
-//! work queue, collecting per-scenario reports (or errors) in input order.
-//!
-//! Each scenario is additionally isolated with `catch_unwind`: a panic
-//! while building or solving one model (for example a non-finite rate that
-//! trips a builder assertion) becomes a [`CloudError::Panicked`] for that
-//! scenario instead of poisoning the whole batch.
+//! * [`evaluate_all_guarded`] builds one spec and runs a whole analysis set
+//!   against one state-space construction. A panic while building or
+//!   solving (for example a non-finite rate that trips a builder
+//!   assertion) becomes a [`CloudError::Panicked`] for that spec instead
+//!   of poisoning the caller.
+//! * [`StructureRegistry`] is the only way evaluations share an explored
+//!   state space: every evaluation takes one, and rate-only siblings that
+//!   meet in the same registry re-rate one exploration.
+//! * [`sweep_reports`] evaluates a batch of specs' steady states.
+//! * [`run_pool`] is the scoped worker pool behind every batch, and the one
+//!   place a thread budget is split between the pool and the solvers.
 
 use crate::analysis::{AnalysisReport, AnalysisRequest};
 use crate::error::CloudError;
 use crate::metrics::{AvailabilityReport, EvalOptions};
 use crate::system::{CloudModel, CloudSystemSpec};
-use dtc_petri::TangibleStructure;
+use dtc_petri::{TangibleGraph, TangibleStructure};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Result of evaluating one scenario in a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// Index into the input slice.
-    pub index: usize,
-    /// The evaluation result.
-    pub report: Result<AvailabilityReport, CloudError>,
-}
-
-/// Builds and evaluates one spec, converting panics into errors.
-///
-/// The single-spec entry point used by callers that manage their own
-/// fan-out (e.g. single-flight evaluation in `dtc-engine`), with the same
-/// panic isolation the batch harness applies per scenario.
-pub fn evaluate_guarded(
-    spec: &CloudSystemSpec,
-    opts: &EvalOptions,
-) -> Result<AvailabilityReport, CloudError> {
-    guard(|| CloudModel::build(spec).and_then(|model| model.evaluate(opts)))
-}
-
-/// Like [`evaluate_guarded`], but re-rating `structure` instead of
-/// exploring when it matches the spec's compiled net (see
-/// [`CloudModel::state_space_from`]). Results are bit-identical either way;
-/// a mismatched structure silently falls back to full exploration.
-pub fn evaluate_guarded_from(
-    spec: &CloudSystemSpec,
-    opts: &EvalOptions,
-    structure: Option<&Arc<TangibleStructure>>,
-) -> Result<AvailabilityReport, CloudError> {
-    guard(|| {
-        let model = CloudModel::build(spec)?;
-        let graph = model.state_space_from(opts, structure)?;
-        model.evaluate_on(&graph, opts)
-    })
-}
-
-/// Like [`evaluate_guarded`], but also returning the explored
-/// [`TangibleStructure`] so rate-only siblings (a sensitivity study's
-/// perturbed jobs) can be re-rated from it.
-pub(crate) fn evaluate_guarded_with_structure(
-    spec: &CloudSystemSpec,
-    opts: &EvalOptions,
-) -> Result<(AvailabilityReport, Arc<TangibleStructure>), CloudError> {
-    guard(|| {
-        let model = CloudModel::build(spec)?;
-        let graph = model.state_space_from(opts, None)?;
-        let report = model.evaluate_on(&graph, opts)?;
-        Ok((report, Arc::clone(graph.structure())))
-    })
-}
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Builds one spec and runs a whole analysis set against a single
-/// state-space construction ([`CloudModel::evaluate_all`]), with the same
-/// panic isolation as [`evaluate_guarded`]. The multi-metric entry point
-/// the engine's single-flight executor calls.
+/// state-space construction ([`CloudModel::evaluate_all_on`]), converting
+/// panics into [`CloudError::Panicked`].
+///
+/// The state space comes from `registry`: a structure already published
+/// for this spec's structural fingerprint is re-rated (bit-identical, no
+/// exploration); otherwise this call explores and publishes its structure
+/// for later siblings. Pass a fresh registry to explore unconditionally.
 pub fn evaluate_all_guarded(
     spec: &CloudSystemSpec,
     requests: &[AnalysisRequest],
     opts: &EvalOptions,
+    registry: &StructureRegistry,
 ) -> Result<Vec<AnalysisReport>, CloudError> {
-    guard(|| CloudModel::build(spec).and_then(|model| model.evaluate_all(spec, requests, opts)))
+    guard(|| {
+        let model = CloudModel::build(spec)?;
+        let graph = registry.state_space(&model, opts)?;
+        model.evaluate_all_on(spec, &graph, requests, opts)
+    })
 }
 
-/// Batch-scoped pool of explored structures, keyed by structural
-/// fingerprint ([`CloudModel::net_fingerprint`]).
+/// Pool of explored structures, keyed by structural fingerprint
+/// ([`CloudModel::net_fingerprint`]).
 ///
-/// A batch executor creates one registry per batch and routes every job
-/// through [`evaluate_all_shared`]: the first job of each structural group
-/// explores and publishes its structure; every later sibling re-rates it.
-/// Re-rated graphs are bit-identical to freshly explored ones, so
-/// concurrent first-comers racing on the same fingerprint cost at most a
-/// redundant exploration — never a different result.
+/// A batch creates one registry and routes every job through
+/// [`evaluate_all_guarded`]: the first job of each structural group
+/// explores and publishes its structure, and every later sibling re-rates
+/// it. Concurrent first arrivals of one fingerprint wait for that single
+/// exploration instead of racing it. An exploration that fails or panics
+/// publishes nothing, and the waiters then explore themselves.
 ///
 /// Structure sharing is an execution detail (like thread counts): it must
 /// never leak into cache keys or report bytes.
 #[derive(Debug, Default)]
 pub struct StructureRegistry {
-    inner: Mutex<HashMap<u64, Arc<TangibleStructure>>>,
+    cells: Mutex<HashMap<u64, Arc<OnceLock<Arc<TangibleStructure>>>>>,
 }
 
 impl StructureRegistry {
@@ -108,50 +69,59 @@ impl StructureRegistry {
 
     /// The structure previously published for `fingerprint`, if any.
     pub fn get(&self, fingerprint: u64) -> Option<Arc<TangibleStructure>> {
-        self.inner.lock().expect("registry mutex poisoned").get(&fingerprint).cloned()
+        let cells = self.cells.lock().expect("registry mutex poisoned");
+        cells.get(&fingerprint)?.get().cloned()
     }
 
     /// Publishes `structure` for `fingerprint`; the first publication wins.
     pub fn insert(&self, fingerprint: u64, structure: Arc<TangibleStructure>) {
-        self.inner
-            .lock()
-            .expect("registry mutex poisoned")
-            .entry(fingerprint)
-            .or_insert(structure);
+        let _ = self.cell(fingerprint).set(structure);
     }
 
-    /// Number of distinct structural groups seen so far.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("registry mutex poisoned").len()
+    /// The publication cell of `fingerprint`, created empty on first use.
+    fn cell(&self, fingerprint: u64) -> Arc<OnceLock<Arc<TangibleStructure>>> {
+        let mut cells = self.cells.lock().expect("registry mutex poisoned");
+        Arc::clone(cells.entry(fingerprint).or_default())
     }
 
-    /// Whether no structure has been published yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Like [`evaluate_all_guarded`], but sharing explorations across a batch
-/// through `registry`: if a structure with this spec's fingerprint was
-/// already published, the state space is re-rated from it (bit-identical,
-/// no exploration); otherwise this job explores and publishes its structure
-/// for later siblings.
-pub fn evaluate_all_shared(
-    spec: &CloudSystemSpec,
-    requests: &[AnalysisRequest],
-    opts: &EvalOptions,
-    registry: &StructureRegistry,
-) -> Result<Vec<AnalysisReport>, CloudError> {
-    guard(|| {
-        let model = CloudModel::build(spec)?;
-        let fingerprint = model.net_fingerprint();
-        let shared = registry.get(fingerprint);
-        let graph = model.state_space_from(opts, shared.as_ref())?;
-        if shared.is_none() {
-            registry.insert(fingerprint, Arc::clone(graph.structure()));
+    /// The state space of `model`: re-rated from the published structure
+    /// of its fingerprint, or explored and published by the first arrival.
+    fn state_space(
+        &self,
+        model: &CloudModel,
+        opts: &EvalOptions,
+    ) -> Result<TangibleGraph, CloudError> {
+        let cell = self.cell(model.net_fingerprint());
+        if let Some(shared) = cell.get() {
+            return model.state_space_from(opts, Some(shared));
         }
-        model.evaluate_all_on(spec, &graph, requests, opts)
-    })
+        // Explore inside the cell's initializer, so concurrent first
+        // arrivals block on this one exploration; the map lock is not held.
+        // An error unwinds out of the initializer with a payload-free
+        // marker (no panic message is printed), which leaves the cell
+        // empty exactly like a panic would.
+        let mut explored = None;
+        let mut failed = None;
+        let published = catch_unwind(AssertUnwindSafe(|| {
+            Arc::clone(cell.get_or_init(|| match model.state_space_from(opts, None) {
+                Ok(graph) => {
+                    let structure = Arc::clone(graph.structure());
+                    explored = Some(graph);
+                    structure
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    resume_unwind(Box::new(()))
+                }
+            }))
+        }));
+        match (published, explored, failed) {
+            (Ok(_), Some(graph), _) => Ok(graph),
+            (Ok(shared), None, _) => model.state_space_from(opts, Some(&shared)),
+            (Err(_), _, Some(e)) => Err(e),
+            (Err(panic), _, None) => resume_unwind(panic),
+        }
+    }
 }
 
 /// Converts panics inside `f` into [`CloudError::Panicked`].
@@ -169,61 +139,71 @@ fn guard<T>(f: impl FnOnce() -> Result<T, CloudError>) -> Result<T, CloudError> 
     }
 }
 
-/// Evaluates every spec, spreading work over `threads` worker threads
-/// (clamped to at least 1). Results are returned in input order; individual
-/// failures — including panics inside the model pipeline — are captured per
-/// scenario instead of aborting the batch.
+/// Evaluates every spec's steady state through [`evaluate_all_guarded`],
+/// sharing structures through `registry`, over a [`run_pool`] with the
+/// budget `opts.solver.threads`. Results are returned in input order;
+/// individual failures, panics included, are captured per spec instead of
+/// aborting the batch.
 pub fn sweep_reports(
     specs: &[CloudSystemSpec],
     opts: &EvalOptions,
-    threads: usize,
-) -> Vec<SweepOutcome> {
-    sweep_reports_from(specs, opts, threads, None)
+    registry: &StructureRegistry,
+) -> Vec<Result<AvailabilityReport, CloudError>> {
+    let requests = [AnalysisRequest::SteadyState];
+    run_pool(specs.len(), opts.solver.resolved_threads(), |i, job_threads| {
+        let mut opts = opts.clone();
+        opts.solver.threads = job_threads;
+        let reports = evaluate_all_guarded(&specs[i], &requests, &opts, registry)?;
+        match reports.as_slice() {
+            [AnalysisReport::SteadyState(report)] => Ok(*report),
+            other => unreachable!("a steady-state request yields its report, got {other:?}"),
+        }
+    })
 }
 
-/// Like [`sweep_reports`], but offering every job a shared
-/// [`TangibleStructure`] to re-rate instead of exploring (see
-/// [`CloudModel::state_space_from`]). Jobs whose net does not match the
-/// structure fall back to full exploration, so a mixed batch is correct —
-/// just slower for the outliers. Results are bit-identical to
-/// [`sweep_reports`] either way.
-pub fn sweep_reports_from(
-    specs: &[CloudSystemSpec],
-    opts: &EvalOptions,
-    threads: usize,
-    structure: Option<&Arc<TangibleStructure>>,
-) -> Vec<SweepOutcome> {
-    let threads = threads.max(1).min(specs.len().max(1));
-    // The jobs share the solver's threads instead of multiplying them: each
-    // of the `threads` workers solves with ⌊solver threads / threads⌋ (at
-    // least one), so the sweep runs about as many solver threads as one
-    // solve would. Bit-identical at every split (`dtc_markov::par`).
-    let mut opts = opts.clone();
-    opts.solver.threads = (opts.solver.resolved_threads() / threads).max(1);
-    let opts = &opts;
+/// Runs `job(i, job_threads)` for every `i` in `0..jobs` on a scoped
+/// worker pool and returns the results in index order.
+///
+/// This is where a thread budget is split. `budget` (at least one) buys
+/// `min(budget, jobs)` workers, each taking the next index from a shared
+/// counter, and every job gets `job_threads = budget / workers` threads
+/// for its own parallel kernels. Nested fan-out therefore stays near
+/// `budget` threads in total instead of multiplying; the kernels are
+/// bit-identical at every thread count (`dtc_markov::par`), so the split
+/// never changes a result. A panicking job propagates its panic to the
+/// caller once every worker has stopped.
+pub fn run_pool<T: Send>(
+    jobs: usize,
+    budget: usize,
+    job: impl Fn(usize, usize) -> T + Sync,
+) -> Vec<T> {
+    let budget = budget.max(1);
+    let workers = budget.min(jobs).max(1);
+    let job_threads = budget / workers;
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<SweepOutcome>>> = Mutex::new(vec![None; specs.len()]);
-
+    let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= specs.len() {
-                    break;
-                }
-                let report = evaluate_guarded_from(&specs[i], opts, structure);
-                let mut slots = results.lock().expect("results mutex poisoned");
-                slots[i] = Some(SweepOutcome { index: i, report });
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs {
+                            break done;
+                        }
+                        done.push((i, job(i, job_threads)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, out) in handle.join().unwrap_or_else(|panic| resume_unwind(panic)) {
+                slots[i] = Some(out);
+            }
         }
     });
-
-    results
-        .into_inner()
-        .expect("results mutex poisoned")
-        .into_iter()
-        .map(|o| o.expect("every index filled"))
-        .collect()
+    slots.into_iter().map(|slot| slot.expect("every index ran")).collect()
 }
 
 #[cfg(test)]
@@ -250,15 +230,20 @@ mod tests {
         }
     }
 
+    fn with_threads(threads: usize) -> EvalOptions {
+        let mut opts = EvalOptions::default();
+        opts.solver.threads = threads;
+        opts
+    }
+
     #[test]
     fn sweep_preserves_order_and_monotonicity() {
         let specs: Vec<_> = [500.0, 1000.0, 2000.0, 4000.0].map(tiny).into();
-        let out = sweep_reports(&specs, &EvalOptions::default(), 4);
+        let out = sweep_reports(&specs, &with_threads(4), &StructureRegistry::new());
         assert_eq!(out.len(), 4);
         let mut prev = 0.0;
-        for (i, o) in out.iter().enumerate() {
-            assert_eq!(o.index, i);
-            let a = o.report.as_ref().unwrap().availability;
+        for o in &out {
+            let a = o.as_ref().unwrap().availability;
             assert!(a > prev, "availability should rise with PM MTTF");
             prev = a;
         }
@@ -269,16 +254,16 @@ mod tests {
         let mut bad = tiny(1000.0);
         bad.min_running_vms = 99;
         let specs = vec![tiny(1000.0), bad];
-        let out = sweep_reports(&specs, &EvalOptions::default(), 2);
-        assert!(out[0].report.is_ok());
-        assert!(out[1].report.is_err());
+        let out = sweep_reports(&specs, &with_threads(2), &StructureRegistry::new());
+        assert!(out[0].is_ok());
+        assert!(out[1].is_err());
     }
 
     #[test]
     fn single_thread_works() {
         let specs = vec![tiny(1000.0)];
-        let out = sweep_reports(&specs, &EvalOptions::default(), 0);
-        assert!(out[0].report.is_ok());
+        let out = sweep_reports(&specs, &with_threads(1), &StructureRegistry::new());
+        assert!(out[0].is_ok());
     }
 
     #[test]
@@ -289,13 +274,96 @@ mod tests {
         let mut evil = tiny(1000.0);
         evil.ospm = ComponentParams { mttf_hours: f64::NAN, mttr_hours: 12.0 };
         let specs = vec![tiny(1000.0), evil, tiny(2000.0)];
-        let out = sweep_reports(&specs, &EvalOptions::default(), 2);
-        assert!(out[0].report.is_ok());
+        let out = sweep_reports(&specs, &with_threads(2), &StructureRegistry::new());
+        assert!(out[0].is_ok());
         assert!(
-            matches!(&out[1].report, Err(CloudError::Panicked(msg)) if msg.contains("positive")),
+            matches!(&out[1], Err(CloudError::Panicked(msg)) if msg.contains("positive")),
             "expected Panicked, got {:?}",
-            out[1].report
+            out[1]
         );
-        assert!(out[2].report.is_ok(), "batch must survive a panicking scenario");
+        assert!(out[2].is_ok(), "batch must survive a panicking scenario");
+    }
+
+    #[test]
+    fn shared_registry_matches_fresh_registries_bit_for_bit() {
+        let specs: Vec<_> = [500.0, 1000.0, 2000.0].map(tiny).into();
+        let registry = StructureRegistry::new();
+        let shared = sweep_reports(&specs, &with_threads(2), &registry);
+        let fingerprint = CloudModel::build(&specs[0]).unwrap().net_fingerprint();
+        assert!(registry.get(fingerprint).is_some(), "the first arrival publishes");
+        for (spec, shared) in specs.iter().zip(&shared) {
+            let fresh = sweep_reports(
+                std::slice::from_ref(spec),
+                &with_threads(1),
+                &StructureRegistry::new(),
+            );
+            assert_eq!(shared.as_ref().unwrap(), fresh[0].as_ref().unwrap());
+        }
+    }
+
+    #[test]
+    fn failed_exploration_publishes_nothing() {
+        let spec = tiny(1000.0);
+        let fingerprint = CloudModel::build(&spec).unwrap().net_fingerprint();
+        let registry = StructureRegistry::new();
+        let mut cramped = EvalOptions::default();
+        cramped.reach.max_states = 1;
+        let requests = [AnalysisRequest::SteadyState];
+        assert!(evaluate_all_guarded(&spec, &requests, &cramped, &registry).is_err());
+        assert!(registry.get(fingerprint).is_none(), "an error publishes nothing");
+        // The next arrival explores itself and publishes.
+        let opts = EvalOptions::default();
+        assert!(evaluate_all_guarded(&spec, &requests, &opts, &registry).is_ok());
+        assert!(registry.get(fingerprint).is_some());
+    }
+
+    #[test]
+    fn concurrent_first_arrivals_share_one_exploration() {
+        // Eight workers meet at a barrier, then all ask for the same
+        // fingerprint at once. Without the per-fingerprint wait, the racing
+        // first arrivals would each explore and hold distinct structures.
+        let model = CloudModel::build(&tiny(1000.0)).unwrap();
+        let registry = StructureRegistry::new();
+        let opts = EvalOptions::default();
+        let start = std::sync::Barrier::new(8);
+        let structures = run_pool(8, 8, |_, _| {
+            start.wait();
+            Arc::clone(registry.state_space(&model, &opts).unwrap().structure())
+        });
+        for s in &structures {
+            assert!(Arc::ptr_eq(s, &structures[0]));
+        }
+    }
+
+    #[test]
+    fn insert_keeps_the_first_publication() {
+        let opts = EvalOptions::default();
+        let model = CloudModel::build(&tiny(1000.0)).unwrap();
+        let first = Arc::clone(model.state_space(&opts).unwrap().structure());
+        let second = Arc::clone(model.state_space(&opts).unwrap().structure());
+        let registry = StructureRegistry::new();
+        registry.insert(7, Arc::clone(&first));
+        registry.insert(7, second);
+        assert!(Arc::ptr_eq(&registry.get(7).unwrap(), &first));
+        assert!(registry.get(8).is_none());
+    }
+
+    #[test]
+    fn pool_returns_index_order_and_splits_the_budget() {
+        // 3 jobs on a budget of 8: three workers, two threads per job.
+        let out = run_pool(3, 8, |i, job_threads| (i, job_threads));
+        assert_eq!(out, vec![(0, 2), (1, 2), (2, 2)]);
+        // More jobs than budget: one thread per job, every index once.
+        let out = run_pool(50, 4, |i, job_threads| (i * i, job_threads));
+        assert_eq!(out, (0..50).map(|i| (i * i, 1)).collect::<Vec<_>>());
+        // A zero budget still runs everything on one worker.
+        assert_eq!(run_pool(2, 0, |i, t| i + t), vec![1, 2]);
+        assert!(run_pool(0, 4, |i, _| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 3 fails")]
+    fn pool_propagates_a_job_panic() {
+        run_pool(5, 2, |i, _| assert!(i != 3, "job {i} fails"));
     }
 }

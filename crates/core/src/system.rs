@@ -19,6 +19,7 @@ use crate::blocks::{
 use crate::error::{CloudError, Result};
 use crate::metrics::{AvailabilityReport, EvalOptions};
 use crate::params::{ComponentParams, VmParams};
+use crate::sweep::StructureRegistry;
 use dtc_petri::expr::{BoolExpr, IntExpr};
 use dtc_petri::model::{PetriNet, PetriNetBuilder, PlaceId};
 use dtc_petri::reach::{explore_from, Solution, TangibleGraph, TangibleStructure};
@@ -177,7 +178,7 @@ pub struct DataCenterModel {
 ///
 /// [`CloudModel`] used to retain a full clone of the [`CloudSystemSpec`];
 /// storing only this summary lets [`CloudModel::build`] borrow the spec, so
-/// the single-flight hot path ([`crate::sweep::evaluate_guarded`]) performs
+/// the single-flight hot path ([`crate::sweep::evaluate_all_guarded`]) performs
 /// no per-evaluation clone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemSummary {
@@ -480,14 +481,10 @@ impl CloudModel {
         opts: &EvalOptions,
         structure: Option<&Arc<TangibleStructure>>,
     ) -> Result<TangibleGraph> {
-        // Mirror explore_from's decision so the span names what actually
-        // happens (the fingerprint check is microseconds on a net
-        // description; exploration is the expensive part being avoided).
-        let re_rating = structure.is_some_and(|s| {
-            opts.reach.vanishing == dtc_petri::VanishingPolicy::Eliminate
-                && s.num_states() <= opts.reach.max_states
-                && s.matches(&self.net)
-        });
+        // The span names what explore_from will do (the check is
+        // microseconds on a net description; exploration is the expensive
+        // part being avoided).
+        let re_rating = structure.is_some_and(|s| s.can_re_rate(&self.net, &opts.reach));
         let _span = dtc_obs::stage_span(if re_rating { "re_rate" } else { "explore" });
         let mut explore_stats = dtc_petri::ExploreStats::default();
         let graph = explore_from(&self.net, &opts.reach, structure, &mut explore_stats)?;
@@ -680,16 +677,13 @@ impl CloudModel {
                     let params = crate::sensitivity::filtered_parameters(spec, parameters);
                     let _span = dtc_obs::stage_span("sensitivity");
                     // The perturbed jobs are rate-only siblings of this
-                    // model, so they re-rate the already-explored structure
-                    // instead of rebuilding the state space per job.
+                    // model: a registry seeded with its structure lets them
+                    // re-rate it instead of exploring per job.
+                    let registry = StructureRegistry::new();
+                    let structure = graph.structure();
+                    registry.insert(structure.fingerprint(), Arc::clone(structure));
                     let rows = crate::sensitivity::sensitivity_with_baseline(
-                        spec,
-                        &params,
-                        base,
-                        opts,
-                        *rel_step,
-                        opts.resolved_sweep_threads(),
-                        Some(graph.structure()),
+                        spec, &params, base, opts, *rel_step, &registry,
                     )?;
                     AnalysisReport::Sensitivity { rel_step: *rel_step, rows }
                 }
@@ -1137,7 +1131,7 @@ mod tests {
             )
             .unwrap();
         let standalone =
-            crate::sensitivity::availability_sensitivity(&spec, &opts, 0.05, 2).unwrap();
+            crate::sensitivity::availability_sensitivity(&spec, &opts, 0.05).unwrap();
         match &reports[1] {
             AnalysisReport::Sensitivity { rel_step, rows } => {
                 assert_eq!(*rel_step, 0.05);

@@ -1,25 +1,30 @@
 //! Cached, deduplicated, parallel evaluation of scenario batches.
 //!
-//! The upgraded sweep executor: scenarios are keyed by structural hash
-//! first, identical specs are folded together (grid cells often share a
-//! baseline), and the remaining unique specs fan out over a scoped worker
-//! pool where every solve goes through the cache's **single-flight** entry
-//! point ([`EvalCache::get_or_compute`]). The cache is shared by
-//! [`Arc`], so any number of concurrent batches — e.g. simultaneous
-//! `dtc-serve` requests — collapse identical solves into one, within and
-//! across batches. Per-scenario panics are isolated by
-//! [`dtc_core::sweep::evaluate_guarded`].
+//! The batch executor: scenarios are keyed by structural hash first,
+//! identical specs are folded together (grid cells often share a
+//! baseline), and the remaining unique specs fan out over
+//! [`dtc_core::sweep::run_pool`], the workspace's one worker pool, which
+//! also splits [`RunOptions::threads`] between the pool's workers and each
+//! job's solver kernels. Every solve goes through the cache's
+//! **single-flight** entry point ([`EvalCache::get_or_compute`]). The
+//! cache is shared by [`Arc`], so any number of concurrent batches — e.g.
+//! simultaneous `dtc-serve` requests — collapse identical solves into one,
+//! within and across batches.
+//!
+//! A miss is evaluated by [`dtc_core::sweep::evaluate_all_guarded`], which
+//! isolates per-scenario panics and shares explorations through one
+//! batch-scoped [`StructureRegistry`]: the first miss of each structural
+//! group explores, and its rate-only siblings re-rate that structure.
 
 use crate::cache::{CacheStats, EvalCache, Fetch};
 use crate::catalog::Scenario;
 use crate::hash::{canonical_encoding_with, SpecKey};
 use dtc_core::analysis::{AnalysisReport, AnalysisRequest};
 use dtc_core::metrics::{AvailabilityReport, EvalOptions};
-use dtc_core::sweep::{evaluate_all_shared, StructureRegistry};
+use dtc_core::sweep::{evaluate_all_guarded, run_pool, StructureRegistry};
 use dtc_core::CloudError;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How a scenario's report was obtained.
@@ -154,99 +159,63 @@ pub fn run_batch(
     }
     cache.note_batch(scenarios.len(), uniques.len());
 
-    // Resolve every unique spec over a scoped worker pool; each solve goes
-    // through the cache's single-flight gate.
-    type Resolved = (Result<Arc<Vec<AnalysisReport>>, CloudError>, Fetch);
-    let threads = opts.threads.max(1).min(uniques.len().max(1));
-    // Analyses that fan out internally (the sensitivity sweep) share the
-    // batch's thread budget instead of multiplying it: with W batch
-    // workers an unset sweep_threads becomes ⌈budget / W⌉-ish, so a batch
-    // never runs more than ~`opts.threads` solver threads at once. An
-    // explicit sweep_threads is the caller's business and passes through.
-    let mut eval = opts.eval.clone();
-    if eval.sweep_threads == 0 {
-        eval.sweep_threads = (opts.threads.max(1) / threads).max(1);
-    }
-    // Same budget split for the solver's parallel kernels (the uniformized
-    // march, the power method and Gauss–Seidel sweeps): an unset
-    // solver.threads shares the batch budget across workers, so a
-    // single-scenario `dtc run --threads N` (or a one-request `/v2/evaluate`
-    // with `--eval-threads N`) gives the solvers all N threads while a wide
-    // batch stays at ~N total. A sensitivity sweep inside a scenario splits
-    // its solver threads again over its own workers
-    // (`dtc_core::sweep::sweep_reports_from`), so nesting does not multiply
-    // them. Safe to derive after keying: thread counts are excluded from
-    // cache identity because the kernels are bit-identical at every value
-    // (`dtc_markov::par`).
-    if eval.solver.threads == 0 {
-        eval.solver.threads = (opts.threads.max(1) / threads).max(1);
-    }
-    let resolved: Mutex<Vec<Option<Resolved>>> = Mutex::new(vec![None; uniques.len()]);
-    let next = AtomicUsize::new(0);
-    // Batch-scoped structure pool: grid cells usually differ only in rates
-    // (same places/transitions/arcs), so after the first cache miss of each
-    // structural group explores, every later miss in the group re-rates
-    // that structure instead of re-exploring (bit-identical results, see
-    // `dtc_core::sweep::evaluate_all_shared`). Purely an execution detail:
-    // cache keys and report bytes are unchanged.
+    // Resolve every unique spec over the worker pool; each solve goes
+    // through the cache's single-flight gate. The pool splits the batch's
+    // thread budget: an unset `solver.threads` becomes each job's share, so
+    // a single-scenario `dtc run --threads N` (or a one-request
+    // `/v2/evaluate` with `--eval-threads N`) gives its solvers and its
+    // sensitivity sweep all N threads while a wide batch stays at ~N in
+    // total. An explicit `solver.threads` is the caller's business and
+    // passes through. Safe to derive after keying: thread counts are
+    // excluded from cache identity because the kernels are bit-identical
+    // at every value (`dtc_markov::par`).
+    //
+    // Grid cells usually differ only in rates, so the batch-scoped
+    // registry lets each structural group explore once (bit-identical
+    // results; cache keys and report bytes are unchanged).
     let registry = StructureRegistry::new();
     // When the calling thread has a request trace installed, carry it into
-    // the scoped workers so their solver spans land in the same tree.
+    // the pool's workers so their solver spans land in the same tree.
     let tracing = dtc_obs::trace::current();
     let t0 = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let _trace_guard = tracing.as_ref().map(|t| t.install());
-                loop {
-                    let u = next.fetch_add(1, Ordering::Relaxed);
-                    if u >= uniques.len() {
-                        break;
+    let resolved = run_pool(uniques.len(), opts.threads, |u, job_threads| {
+        let _trace_guard = tracing.as_ref().map(|t| t.install());
+        let i = uniques[u];
+        let (key, canonical) = &keyed[i];
+        let _scenario_span = dtc_obs::trace::trace_span("scenario");
+        dtc_obs::trace::attr_str("name", &scenarios[i].name);
+        let outcome = cache.get_or_compute(key, canonical, || {
+            let mut eval = opts.eval.clone();
+            if eval.solver.threads == 0 {
+                eval.solver.threads = job_threads;
+            }
+            evaluate_all_guarded(&scenarios[i].spec, &opts.analyses, &eval, &registry)
+                .map(Arc::new)
+        });
+        dtc_obs::trace::event(
+            "cache_lookup",
+            &[
+                (
+                    "outcome",
+                    match outcome.1 {
+                        Fetch::Hit => "hit",
+                        Fetch::Computed => "miss",
+                        Fetch::Joined => "join",
                     }
-                    let i = uniques[u];
-                    let (key, canonical) = &keyed[i];
-                    let _scenario_span = dtc_obs::trace::trace_span("scenario");
-                    dtc_obs::trace::attr_str("name", &scenarios[i].name);
-                    let outcome = cache.get_or_compute(key, canonical, || {
-                        evaluate_all_shared(
-                            &scenarios[i].spec,
-                            &opts.analyses,
-                            &eval,
-                            &registry,
-                        )
-                        .map(Arc::new)
-                    });
-                    dtc_obs::trace::event(
-                        "cache_lookup",
-                        &[
-                            (
-                                "outcome",
-                                match outcome.1 {
-                                    Fetch::Hit => "hit",
-                                    Fetch::Computed => "miss",
-                                    Fetch::Joined => "join",
-                                }
-                                .into(),
-                            ),
-                            ("key", key.0.as_str().into()),
-                        ],
-                    );
-                    let mut slots = resolved.lock().expect("resolved mutex poisoned");
-                    slots[u] = Some(outcome);
-                }
-            });
-        }
+                    .into(),
+                ),
+                ("key", key.0.as_str().into()),
+            ],
+        );
+        outcome
     });
     let solve_time = t0.elapsed();
-    let resolved = resolved.into_inner().expect("resolved mutex poisoned");
 
     // Assemble outcomes: representatives first, then duplicates copy them.
     let mut evaluated = 0usize;
     let mut cached = 0usize;
     let mut outcomes: Vec<Option<Outcome>> = vec![None; scenarios.len()];
-    for (u, &i) in uniques.iter().enumerate() {
-        let (reports, fetch) =
-            resolved[u].clone().expect("every unique slot resolved by the pool");
+    for (&i, (reports, fetch)) in uniques.iter().zip(resolved) {
         let provenance = match fetch {
             Fetch::Computed => {
                 evaluated += 1;

@@ -106,13 +106,13 @@ pub fn canonical_encoding(spec: &CloudSystemSpec, opts: &EvalOptions) -> String 
     // Evaluation options: the number-affecting option groups, each encoded
     // deterministically. Inclusion at the EvalOptions level is MANUAL: a
     // new EvalOptions field that can change results must be added here, or
-    // stale cache hits will return wrong numbers for it. `sweep_threads`
-    // and `solver.threads` are deliberately excluded — both are pure
-    // scheduling knobs (the parallel kernels are bit-identical at every
-    // thread count; see `dtc_markov::par`), so keying on them would only
-    // split the cache. SolverOptions is therefore spelled out field by
-    // field, byte-compatible with the derived Debug layout the original
-    // encoding used so existing on-disk cache entries keep hitting.
+    // stale cache hits will return wrong numbers for it. `solver.threads`
+    // is deliberately excluded — it is a pure scheduling knob (the
+    // parallel kernels are bit-identical at every thread count; see
+    // `dtc_markov::par`), so keying on it would only split the cache.
+    // SolverOptions is therefore spelled out field by field,
+    // byte-compatible with the derived Debug layout the original encoding
+    // used so existing on-disk cache entries keep hitting.
     let so = &opts.solver;
     let _ = write!(
         s,
@@ -271,7 +271,6 @@ mod tests {
         let base = spec_key(&spec(), &EvalOptions::default());
         let mut opts = EvalOptions::default();
         opts.solver.threads = 8;
-        opts.sweep_threads = 4;
         assert_eq!(base, spec_key(&spec(), &opts));
         let enc = canonical_encoding(&spec(), &opts);
         assert!(!enc.contains("threads"), "no thread field may leak into the encoding: {enc}");

@@ -102,7 +102,6 @@ fn table7_one_machine_sensitivity_ranking_is_pinned() {
         &scenario.spec,
         &EvalOptions::default(),
         0.05,
-        4,
     )
     .unwrap();
     assert_eq!(*rows, standalone);
@@ -169,9 +168,13 @@ fn structure_sharing_is_invisible_in_report_bytes_and_cache_keys() {
         // knobs are derived inside run_batch, but they never change
         // report bytes (deterministic kernels), so default options give
         // the same bytes.
-        let unshared =
-            dtc_core::sweep::evaluate_all_guarded(&scenario.spec, &opts.analyses, &opts.eval)
-                .unwrap();
+        let unshared = dtc_core::sweep::evaluate_all_guarded(
+            &scenario.spec,
+            &opts.analyses,
+            &opts.eval,
+            &dtc_core::sweep::StructureRegistry::new(),
+        )
+        .unwrap();
         let shared = outcome.reports.as_ref().unwrap();
         assert_eq!(
             format!("{shared:?}"),

@@ -90,8 +90,13 @@ fn batch_with_sensitivity_explores_once_per_structural_group() {
     // byte-identical to the unshared per-spec path, which explores from
     // scratch (counted after the deltas above were taken).
     for (s, outcome) in batch.iter().zip(&result.outcomes) {
-        let unshared =
-            dtc_core::sweep::evaluate_all_guarded(&s.spec, &opts.analyses, &opts.eval).unwrap();
+        let unshared = dtc_core::sweep::evaluate_all_guarded(
+            &s.spec,
+            &opts.analyses,
+            &opts.eval,
+            &dtc_core::sweep::StructureRegistry::new(),
+        )
+        .unwrap();
         assert_eq!(
             format!("{:?}", outcome.reports.as_ref().unwrap()),
             format!("{unshared:?}"),

@@ -173,6 +173,7 @@ pub fn uniformized_pass_with(
         }
     }
     let threads = par::resolve_threads(options.threads);
+    let workers = par::workers_for(n, threads);
 
     let lambda = ctmc.uniformization_rate();
 
@@ -263,6 +264,14 @@ pub fn uniformized_pass_with(
         let live_at = |w: &Option<Vec<f64>>, k: usize| {
             w.as_ref().is_some_and(|w| k < w.len() && w[k] > 0.0)
         };
+        // Once a step reproduces `cur` bit for bit, every later π0·Pᵏ is
+        // the same vector (the step is a fixed function of `cur`), so the
+        // rest of the march skips the SpMV, and each kind of dot partial
+        // is computed once more and then reused. Bit-identical to
+        // marching on; it turns a long horizon on a fast-mixing chain into
+        // a scalar loop.
+        let mut settled = false;
+        let (mut cum_settled, mut proj_settled) = (false, false);
         for k in 0..kmax {
             // Software-pipelined step: every job reads `cur` = π0·Pᵏ. The
             // accumulations for step k and the SpMV producing π0·Pᵏ⁺¹ for
@@ -271,12 +280,12 @@ pub fn uniformized_pass_with(
             let need_cum = k < cum_kmax;
             let need_proj = project.is_some() && point_weights.iter().any(|w| live_at(w, k));
             let mut jobs: Vec<par::Job<'_>> = Vec::new();
-            if k + 1 < kmax {
+            if k + 1 < kmax && !settled {
                 for (start_row, out) in par::split_blocks(&mut next) {
                     jobs.push(par::Job::MulVec { a: &pt, x: &cur, start_row, out });
                 }
             }
-            if need_cum {
+            if need_cum && !cum_settled {
                 for (r, out) in par::block_ranges(n).into_iter().zip(cum_partials.iter_mut()) {
                     jobs.push(par::Job::DotPartial {
                         a: &cur[r.clone()],
@@ -286,7 +295,7 @@ pub fn uniformized_pass_with(
                 }
             }
             if let Some(reward) = project {
-                if need_proj {
+                if need_proj && !proj_settled {
                     for (r, out) in
                         par::block_ranges(n).into_iter().zip(proj_partials.iter_mut())
                     {
@@ -311,7 +320,15 @@ pub fn uniformized_pass_with(
                     }
                 }
             }
-            par::run_jobs(jobs, threads);
+            par::run_jobs(jobs, workers);
+            if !settled && k + 1 < kmax {
+                settled = next.iter().zip(&cur).all(|(a, b)| a.to_bits() == b.to_bits());
+            }
+            if settled {
+                // This step's partials came from the settled vector.
+                cum_settled |= need_cum;
+                proj_settled |= need_proj;
+            }
             // Combine the dot partials in fixed block order on this thread;
             // the scalar updates below don't depend on the thread count.
             if need_cum {
@@ -455,6 +472,58 @@ mod tests {
         assert_eq!(curve[0], curve[3]);
         assert_eq!(curve[1], pi0.to_vec());
         assert_eq!(curve[5], pi0.to_vec());
+    }
+
+    /// A long horizon on a fast-mixing chain settles (a step reproduces
+    /// `cur` bit for bit) and the pass stops stepping; every output must
+    /// still equal a textbook march that steps to the end.
+    #[test]
+    fn settled_march_matches_marching_on() {
+        let c = repairable(0.2, 0.8);
+        let pi0 = [1.0, 0.0];
+        let reward = [1.0, 0.0];
+        let (t, h) = (2e4, 3e4);
+        let full = uniformized_pass(&c, &pi0, &[t], &[h], &reward).unwrap();
+        let projected = uniformized_pass_with(
+            &c,
+            &pi0,
+            &[t],
+            &[h],
+            &reward,
+            &PassOptions { threads: 1, point_reward: Some(&reward) },
+        )
+        .unwrap();
+
+        let lambda = c.uniformization_rate();
+        let pt = c.uniformized(lambda).transpose();
+        let point_w = poisson_weights(lambda * t, POINT_EPSILON);
+        let cum_w = poisson_weights(lambda * h, CUMULATIVE_EPSILON);
+        let mut cur = pi0.to_vec();
+        let (mut point, mut proj, mut cum, mut cdf) = (vec![0.0; 2], 0.0, 0.0, 0.0);
+        for k in 0..point_w.len().max(cum_w.len()) {
+            let r: f64 = cur.iter().zip(&reward).map(|(x, y)| x * y).sum();
+            if k < point_w.len() && point_w[k] > 0.0 {
+                for (p, x) in point.iter_mut().zip(&cur) {
+                    *p += point_w[k] * x;
+                }
+                proj += point_w[k] * r;
+            }
+            if k < cum_w.len() {
+                cdf += cum_w[k];
+                let ck = (1.0 - cdf).max(0.0) / lambda;
+                if ck > 0.0 {
+                    cum += ck * r;
+                }
+            }
+            let mut next = vec![0.0; 2];
+            pt.mul_vec_into(&cur, &mut next);
+            cur = next;
+        }
+        crate::solve::normalize(&mut point);
+        assert_eq!(full.distributions[0], point);
+        assert_eq!(full.cumulative[0].to_bits(), cum.to_bits());
+        assert_eq!(projected.point_rewards[0].to_bits(), proj.to_bits());
+        assert_eq!(projected.cumulative[0].to_bits(), cum.to_bits());
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! spawned per kernel call (or per march step in
 //! [`crate::curve::uniformized_pass_with`], or once per solve for the
 //! level-scheduled Gauss–Seidel sweeps in [`crate::solve`], whose workers
-//! meet at a spin-then-yield barrier between levels); spawn cost
-//! amortizes over the 100k-state matrices these kernels target, and
-//! `threads <= 1` takes a spawn-free serial path through the *same* block
-//! loop.
+//! meet at a spin-then-yield barrier between levels). One rule,
+//! `workers_for`, sizes every fan-out: no worker gets fewer than
+//! `MIN_ROWS_PER_WORKER` rows, so spawn cost only meets the large
+//! matrices it amortizes over, and a small chain (or `threads <= 1`)
+//! takes a spawn-free serial path through the *same* block loop.
 
 use crate::sparse::CsrMatrix;
 use std::ops::Range;
@@ -57,6 +58,27 @@ pub fn resolve_threads(threads: usize) -> usize {
     } else {
         threads
     }
+}
+
+/// Fewest rows a worker must get before a kernel fans out to it; smaller
+/// problems get fewer workers, down to the serial path. Measured on a
+/// 2-vCPU VM for the level-scheduled Gauss–Seidel sweep (where the rows
+/// are those of an average level), two workers against the row-order
+/// sweep: random layered chains of 65,536 states break even at about 50
+/// rows per worker per level and gain 15–25 % from 128 up; the 4,350-state
+/// search7 `aa` tier (22 levels, ~99 rows per worker) loses 25 %; Fig. 7
+/// (126,168 states, 29 levels, ~2,175 rows per worker) gains 1.4–1.7×.
+/// 512 sits well clear of every losing point, leaving room for the
+/// costlier barriers of wider machines.
+pub(crate) const MIN_ROWS_PER_WORKER: usize = 512;
+
+/// Workers for a kernel over `rows` rows on a budget of `threads` (0 = one
+/// per core): at most the budget, at most one per
+/// [`MIN_ROWS_PER_WORKER`] rows, at least one. Only *how many* workers run
+/// the fixed blocks depends on it, never the blocks themselves, so it can
+/// not change a result.
+pub(crate) fn workers_for(rows: usize, threads: usize) -> usize {
+    resolve_threads(threads).min(rows / MIN_ROWS_PER_WORKER).max(1)
 }
 
 /// Splits `v` into its fixed blocks as `(start_index, sub_slice)` pairs —
@@ -114,12 +136,12 @@ impl Job<'_> {
     }
 }
 
-/// Runs every job exactly once, fanned out over at most `threads` scoped
-/// workers (0 = one per core). Job-to-worker assignment is round-robin,
-/// but since jobs write disjoint targets the assignment cannot affect any
-/// result — only the wall clock.
-pub(crate) fn run_jobs(jobs: Vec<Job<'_>>, threads: usize) {
-    let workers = resolve_threads(threads).min(jobs.len()).max(1);
+/// Runs every job exactly once, fanned out over at most `workers` scoped
+/// workers (callers size it with [`workers_for`]). Job-to-worker
+/// assignment is round-robin, but since jobs write disjoint targets the
+/// assignment cannot affect any result — only the wall clock.
+pub(crate) fn run_jobs(jobs: Vec<Job<'_>>, workers: usize) {
+    let workers = workers.min(jobs.len()).max(1);
     if workers == 1 {
         for job in jobs {
             job.run();
@@ -147,8 +169,9 @@ pub(crate) fn run_jobs(jobs: Vec<Job<'_>>, threads: usize) {
     });
 }
 
-/// Row-block-partitioned `y = A · x` over `threads` scoped workers
-/// (0 = one per core, 1 = serial).
+/// Row-block-partitioned `y = A · x` over up to `threads` scoped workers
+/// (0 = one per core, 1 = serial), fewer on small matrices (no worker
+/// gets fewer than `MIN_ROWS_PER_WORKER` rows).
 ///
 /// Per output element this performs exactly the per-row dot of
 /// [`CsrMatrix::mul_vec_into`], so results are bit-identical to the serial
@@ -164,7 +187,7 @@ pub fn mul_vec_into(a: &CsrMatrix, x: &[f64], y: &mut [f64], threads: usize) {
         .into_iter()
         .map(|(start_row, out)| Job::MulVec { a, x, start_row, out })
         .collect();
-    run_jobs(jobs, threads);
+    run_jobs(jobs, workers_for(a.nrows(), threads));
 }
 
 /// The seed of every blocked sum: `-0.0`, the additive identity
@@ -236,8 +259,9 @@ impl SpinBarrier {
 }
 
 /// Dot product `Σ aᵢ·bᵢ` in fixed block order, with the per-block partials
-/// computed over `threads` workers and combined in ascending block order on
-/// the calling thread. Bit-identical at every thread count.
+/// computed over up to `threads` workers (fewer on short vectors, as in
+/// [`mul_vec_into`]) and combined in ascending block order on the calling
+/// thread. Bit-identical at every thread count.
 ///
 /// # Panics
 ///
@@ -250,7 +274,7 @@ pub fn blocked_dot(a: &[f64], b: &[f64], threads: usize) -> f64 {
         .zip(partials.iter_mut())
         .map(|(r, out)| Job::DotPartial { a: &a[r.clone()], b: &b[r], out })
         .collect();
-    run_jobs(jobs, threads);
+    run_jobs(jobs, workers_for(a.len(), threads));
     partials.iter().sum()
 }
 
@@ -306,6 +330,39 @@ mod tests {
             mul_vec_into(&a, &x, &mut parallel, threads);
             assert_eq!(parallel, serial, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn run_jobs_bit_identical_at_every_worker_count() {
+        // Small inputs fall under `workers_for`'s cap, so drive the fan-out
+        // directly: every worker count must produce the serial bits.
+        let a = dense_random(97, 97, 7);
+        let x: Vec<f64> = (0..97).map(|i| (i as f64 * 0.3).sin()).collect();
+        let run = |workers: usize| {
+            let mut y = vec![0.0; 97];
+            let jobs: Vec<Job<'_>> = split_blocks(&mut y)
+                .into_iter()
+                .map(|(start_row, out)| Job::MulVec { a: &a, x: &x, start_row, out })
+                .collect();
+            run_jobs(jobs, workers);
+            y
+        };
+        let serial = run(1);
+        for workers in [2usize, 3, 8, 64] {
+            assert_eq!(run(workers), serial, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn workers_for_caps_by_rows() {
+        // A 2-state chain never spawns, whatever the budget.
+        assert_eq!(workers_for(2, 8), 1);
+        assert_eq!(workers_for(2 * MIN_ROWS_PER_WORKER - 1, 8), 1);
+        assert_eq!(workers_for(2 * MIN_ROWS_PER_WORKER, 8), 2);
+        // Fig. 7's 126,168 rows keep the whole budget.
+        assert_eq!(workers_for(126_168, 2), 2);
+        assert_eq!(workers_for(126_168, 1), 1);
+        assert_eq!(workers_for(0, 4), 1);
     }
 
     #[test]

@@ -689,30 +689,18 @@ struct LevelSchedule {
     starts: Vec<usize>,
 }
 
-/// Fewest rows of an average level each worker must get; narrower
-/// schedules get fewer workers, down to the row-order sweep. Measured on a
-/// 2-vCPU VM, two workers against the row-order sweep: random layered
-/// chains of 65,536 states break even at about 50 rows per worker per
-/// level and gain 15–25 % from 128 up; the 4,350-state search7 `aa` tier
-/// (22 levels, ~99 rows per worker) loses 25 %; Fig. 7 (126,168 states,
-/// 29 levels, ~2,175 rows per worker) gains 1.4–1.7×. 512 sits well clear
-/// of every losing point, leaving room for the costlier barriers of wider
-/// machines.
-const MIN_ROWS_PER_WORKER: usize = 512;
-
 impl LevelSchedule {
     /// The schedule of `m`'s pattern and the number of workers to sweep it
-    /// with, at most `threads`: as many as give each worker at least
-    /// [`MIN_ROWS_PER_WORKER`] rows of an average level. When fewer than
-    /// two qualify, one worker sweeps in row order.
+    /// with, at most `threads`: [`par::workers_for`] the rows of an average
+    /// level. When fewer than two qualify, one worker sweeps in row order.
     fn plan(m: &CsrMatrix, threads: usize) -> (LevelSchedule, usize) {
         let n = m.nrows();
-        if threads < 2 || n < 2 * MIN_ROWS_PER_WORKER {
+        if par::workers_for(n, threads) < 2 {
             return (LevelSchedule::row_order(n), 1);
         }
         let level = row_levels(m);
         let depth = level.iter().max().map_or(0, |&l| l as usize + 1);
-        let workers = threads.min(n / (depth * MIN_ROWS_PER_WORKER));
+        let workers = par::workers_for(n / depth, threads);
         if workers < 2 {
             return (LevelSchedule::row_order(n), 1);
         }
@@ -787,15 +775,14 @@ fn row_levels(m: &CsrMatrix) -> Vec<u32> {
 }
 
 /// Dense direct solve of `π Q = 0`, `Σπ = 1` by Gaussian elimination with
-/// partial pivoting, replacing the last column of `Qᵀ` equations with the
-/// normalization row.
+/// partial pivoting ([`dense_solve`]), replacing the last column of `Qᵀ`
+/// equations with the normalization row.
 ///
 /// # Errors
 ///
 /// Fails with [`MarkovError::Singular`] if the pivot falls below machine
 /// tolerance — in practice this means `Q` was reducible (several closed
 /// communicating classes), so no unique stationary distribution exists.
-#[allow(clippy::needless_range_loop)] // elimination indexes two rows at once
 pub fn direct_stationary(q: &CsrMatrix) -> Result<(Vec<f64>, SolveStats)> {
     let n = q.nrows();
     if q.ncols() != n {
@@ -814,39 +801,7 @@ pub fn direct_stationary(q: &CsrMatrix) -> Result<(Vec<f64>, SolveStats)> {
         *cell = 1.0;
     }
     b[n - 1] = 1.0;
-
-    // Gaussian elimination with partial pivoting.
-    let scale: f64 =
-        a.iter().flat_map(|r| r.iter().map(|v| v.abs())).fold(0.0, f64::max).max(1.0);
-    for col in 0..n {
-        let (pivot_row, pivot_val) = (col..n)
-            .map(|r| (r, a[r][col].abs()))
-            .max_by(|x, y| x.1.total_cmp(&y.1))
-            .expect("non-empty range");
-        if pivot_val <= f64::EPSILON * scale * n as f64 {
-            return Err(MarkovError::Singular { pivot: col });
-        }
-        a.swap(col, pivot_row);
-        b.swap(col, pivot_row);
-        for r in (col + 1)..n {
-            let f = a[r][col] / a[col][col];
-            if f == 0.0 {
-                continue;
-            }
-            for c in col..n {
-                a[r][c] -= f * a[col][c];
-            }
-            b[r] -= f * b[col];
-        }
-    }
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut acc = b[i];
-        for j in (i + 1)..n {
-            acc -= a[i][j] * x[j];
-        }
-        x[i] = acc / a[i][i];
-    }
+    let mut x = dense_solve(a, b)?;
     // Clamp tiny negatives produced by rounding, then renormalize; a large
     // negative means the elimination went numerically wrong.
     if !sanitize_distribution(&mut x, 1e-6) {
@@ -858,7 +813,8 @@ pub fn direct_stationary(q: &CsrMatrix) -> Result<(Vec<f64>, SolveStats)> {
 }
 
 /// Solves the dense linear system `A x = b` by Gaussian elimination with
-/// partial pivoting. Consumed by absorbing-chain analysis.
+/// partial pivoting. Consumed by absorbing-chain analysis and
+/// [`direct_stationary`].
 #[allow(clippy::needless_range_loop)] // elimination indexes two rows at once
 pub fn dense_solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>> {
     let n = a.len();
@@ -1060,7 +1016,7 @@ mod tests {
 
     #[test]
     fn level_schedule_gives_each_worker_enough_rows() {
-        let n = 4 * MIN_ROWS_PER_WORKER;
+        let n = 4 * par::MIN_ROWS_PER_WORKER;
         // n states with no transitions between them: one level, n wide.
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {

@@ -138,6 +138,17 @@ impl TangibleStructure {
         self.rateable && self.fingerprint == structural_fingerprint(net)
     }
 
+    /// Whether exploring `net` under `opts` may re-rate this structure
+    /// instead. Re-rating replays the recorded exact-elimination terms, so
+    /// it needs that policy, a structure within the caller's state bound,
+    /// and a [matching](TangibleStructure::matches) net. [`explore_from`]
+    /// takes exactly this decision.
+    pub fn can_re_rate(&self, net: &PetriNet, opts: &ReachOptions) -> bool {
+        opts.vanishing == VanishingPolicy::Eliminate
+            && self.num_states() <= opts.max_states
+            && self.matches(net)
+    }
+
     /// Re-evaluates only the rate expressions of this structure against a
     /// sibling net, producing a [`TangibleGraph`] **bit-identical** to a
     /// fresh [`explore`] of `net`: the BFS state order, triplet order,
@@ -492,13 +503,7 @@ pub fn explore_from(
     stats: &mut ExploreStats,
 ) -> Result<TangibleGraph> {
     if let Some(s) = structure {
-        // Re-rating replays the recorded exact-elimination terms, so it is
-        // only valid when the caller still wants that policy and the shared
-        // structure respects the caller's state bound.
-        let compatible = opts.vanishing == VanishingPolicy::Eliminate
-            && s.num_states() <= opts.max_states
-            && s.matches(net);
-        if compatible {
+        if s.can_re_rate(net, opts) {
             stats.re_rates += 1;
             return s.re_rate(net);
         }

@@ -75,9 +75,13 @@ fn search7_explores_once_per_structural_group() {
     let analyses = search_analyses(&config);
     let mut checked = 0;
     for scenario in scenarios.iter().step_by(17) {
-        let unshared =
-            dtc_core::sweep::evaluate_all_guarded(&scenario.spec, &analyses, &opts.eval)
-                .expect("unshared evaluation runs");
+        let unshared = dtc_core::sweep::evaluate_all_guarded(
+            &scenario.spec,
+            &analyses,
+            &opts.eval,
+            &dtc_core::sweep::StructureRegistry::new(),
+        )
+        .expect("unshared evaluation runs");
         let steady = dtc_core::analysis::first_steady_state(&unshared).unwrap();
         let candidate = report
             .candidates

@@ -55,7 +55,9 @@ fn main() -> dtcloud::core::Result<()> {
         }
     }
 
-    let outcomes = sweep_reports(&specs, &EvalOptions::default(), 4);
+    let mut opts = EvalOptions::default();
+    opts.solver.threads = 4;
+    let outcomes = sweep_reports(&specs, &opts, &StructureRegistry::new());
 
     println!(
         "{:>6} {:>14} {:>12} {:>7} {:>14} {:>6}",
@@ -64,7 +66,7 @@ fn main() -> dtcloud::core::Result<()> {
     let mut i = 0;
     for &alpha in &alphas {
         for &years in &disaster_years {
-            let r = outcomes[i].report.as_ref().expect("evaluation succeeds");
+            let r = outcomes[i].as_ref().expect("evaluation succeeds");
             let meets = r.availability >= target_availability;
             println!(
                 "{:>6.2} {:>14.0} {:>12.7} {:>7.2} {:>14.2} {:>6}",

@@ -94,8 +94,7 @@ fn sensitivity_through_the_unified_pipeline_shares_the_steady_baseline() {
         steady.availability,
         &opts,
         0.05,
-        4,
-        None,
+        &StructureRegistry::new(),
     )
     .unwrap();
     match &reports[1] {
