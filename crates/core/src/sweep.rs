@@ -21,7 +21,7 @@ use dtc_petri::{TangibleGraph, TangibleStructure};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Builds one spec and runs a whole analysis set against a single
 /// state-space construction ([`CloudModel::evaluate_all_on`]), converting
@@ -52,13 +52,23 @@ pub fn evaluate_all_guarded(
 /// explores and publishes its structure, and every later sibling re-rates
 /// it. Concurrent first arrivals of one fingerprint wait for that single
 /// exploration instead of racing it. An exploration that fails or panics
-/// publishes nothing, and the waiters then explore themselves.
+/// publishes nothing, and the next waiter then explores itself — so the
+/// explorations of a group whose every sibling fails run one after
+/// another, not side by side.
 ///
 /// Structure sharing is an execution detail (like thread counts): it must
 /// never leak into cache keys or report bytes.
 #[derive(Debug, Default)]
 pub struct StructureRegistry {
-    cells: Mutex<HashMap<u64, Arc<OnceLock<Arc<TangibleStructure>>>>>,
+    cells: Mutex<HashMap<u64, Arc<Cell>>>,
+}
+
+/// One fingerprint's slot: the published structure, and the lock its
+/// explorers queue on.
+#[derive(Debug, Default)]
+struct Cell {
+    structure: OnceLock<Arc<TangibleStructure>>,
+    exploring: Mutex<()>,
 }
 
 impl StructureRegistry {
@@ -68,18 +78,19 @@ impl StructureRegistry {
     }
 
     /// The structure previously published for `fingerprint`, if any.
+    /// Never waits for an exploration in progress.
     pub fn get(&self, fingerprint: u64) -> Option<Arc<TangibleStructure>> {
         let cells = self.cells.lock().expect("registry mutex poisoned");
-        cells.get(&fingerprint)?.get().cloned()
+        cells.get(&fingerprint)?.structure.get().cloned()
     }
 
     /// Publishes `structure` for `fingerprint`; the first publication wins.
     pub fn insert(&self, fingerprint: u64, structure: Arc<TangibleStructure>) {
-        let _ = self.cell(fingerprint).set(structure);
+        let _ = self.cell(fingerprint).structure.set(structure);
     }
 
-    /// The publication cell of `fingerprint`, created empty on first use.
-    fn cell(&self, fingerprint: u64) -> Arc<OnceLock<Arc<TangibleStructure>>> {
+    /// The cell of `fingerprint`, created empty on first use.
+    fn cell(&self, fingerprint: u64) -> Arc<Cell> {
         let mut cells = self.cells.lock().expect("registry mutex poisoned");
         Arc::clone(cells.entry(fingerprint).or_default())
     }
@@ -92,35 +103,19 @@ impl StructureRegistry {
         opts: &EvalOptions,
     ) -> Result<TangibleGraph, CloudError> {
         let cell = self.cell(model.net_fingerprint());
-        if let Some(shared) = cell.get() {
-            return model.state_space_from(opts, Some(shared));
+        if cell.structure.get().is_none() {
+            // Only the cell's lock is held while exploring, never the map's.
+            // A panicking explorer poisons it with nothing published, which
+            // the next holder treats like an error: it explores itself.
+            let _turn = cell.exploring.lock().unwrap_or_else(PoisonError::into_inner);
+            if cell.structure.get().is_none() {
+                let graph = model.state_space_from(opts, None)?;
+                let _ = cell.structure.set(Arc::clone(graph.structure()));
+                return Ok(graph);
+            }
         }
-        // Explore inside the cell's initializer, so concurrent first
-        // arrivals block on this one exploration; the map lock is not held.
-        // An error unwinds out of the initializer with a payload-free
-        // marker (no panic message is printed), which leaves the cell
-        // empty exactly like a panic would.
-        let mut explored = None;
-        let mut failed = None;
-        let published = catch_unwind(AssertUnwindSafe(|| {
-            Arc::clone(cell.get_or_init(|| match model.state_space_from(opts, None) {
-                Ok(graph) => {
-                    let structure = Arc::clone(graph.structure());
-                    explored = Some(graph);
-                    structure
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    resume_unwind(Box::new(()))
-                }
-            }))
-        }));
-        match (published, explored, failed) {
-            (Ok(_), Some(graph), _) => Ok(graph),
-            (Ok(shared), None, _) => model.state_space_from(opts, Some(&shared)),
-            (Err(_), _, Some(e)) => Err(e),
-            (Err(panic), _, None) => resume_unwind(panic),
-        }
+        let shared = cell.structure.get().expect("published before the lock was released");
+        model.state_space_from(opts, Some(shared))
     }
 }
 
@@ -333,6 +328,50 @@ mod tests {
         for s in &structures {
             assert!(Arc::ptr_eq(s, &structures[0]));
         }
+    }
+
+    #[test]
+    fn failing_siblings_each_explore_and_publish_nothing() {
+        // Four concurrent first arrivals whose explorations all fail: each
+        // waits its turn, explores itself and reports its own error.
+        let spec = tiny(1000.0);
+        let fingerprint = CloudModel::build(&spec).unwrap().net_fingerprint();
+        let registry = StructureRegistry::new();
+        let mut cramped = EvalOptions::default();
+        cramped.reach.max_states = 1;
+        let requests = [AnalysisRequest::SteadyState];
+        let start = std::sync::Barrier::new(4);
+        let out = run_pool(4, 4, |_, _| {
+            start.wait();
+            evaluate_all_guarded(&spec, &requests, &cramped, &registry)
+        });
+        for result in &out {
+            assert!(
+                matches!(
+                    result,
+                    Err(CloudError::Petri(dtc_petri::PetriError::StateSpaceExceeded { .. }))
+                ),
+                "every sibling reports its own exploration error, got {result:?}"
+            );
+        }
+        assert!(registry.get(fingerprint).is_none(), "failures publish nothing");
+    }
+
+    #[test]
+    fn a_panicked_exploration_leaves_the_cell_usable() {
+        // A panic while exploring poisons the cell's lock with nothing
+        // published; the next arrival explores and publishes as usual.
+        let model = CloudModel::build(&tiny(1000.0)).unwrap();
+        let registry = StructureRegistry::new();
+        let cell = registry.cell(model.net_fingerprint());
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let _turn = cell.exploring.lock().unwrap();
+            panic!("exploration panicked");
+        }));
+        assert!(cell.exploring.is_poisoned());
+        let graph = registry.state_space(&model, &EvalOptions::default()).unwrap();
+        let published = registry.get(model.net_fingerprint()).expect("published");
+        assert!(Arc::ptr_eq(graph.structure(), &published));
     }
 
     #[test]

@@ -255,6 +255,7 @@ pub fn uniformized_pass_with(
         dtc_obs::trace::attr_int("time_points", times.len() as i64);
         dtc_obs::trace::attr_int("horizons", cum_horizons.len() as i64);
         dtc_obs::trace::attr_int("threads", threads as i64);
+        dtc_obs::trace::attr_int("workers", workers as i64);
 
         let nb = par::num_blocks(n);
         let mut cur = pi0.to_vec();

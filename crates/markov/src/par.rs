@@ -335,20 +335,34 @@ mod tests {
     #[test]
     fn run_jobs_bit_identical_at_every_worker_count() {
         // Small inputs fall under `workers_for`'s cap, so drive the fan-out
-        // directly: every worker count must produce the serial bits.
-        let a = dense_random(97, 97, 7);
-        let x: Vec<f64> = (0..97).map(|i| (i as f64 * 0.3).sin()).collect();
+        // directly with every job kind in one scope, as a march step does:
+        // SpMV blocks into `next`, dot partials and axpy blocks reading
+        // `cur`. Every worker count must produce the serial bits.
+        let n = 97;
+        let a = dense_random(n, n, 7);
+        let cur: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+        let reward: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
         let run = |workers: usize| {
-            let mut y = vec![0.0; 97];
-            let jobs: Vec<Job<'_>> = split_blocks(&mut y)
-                .into_iter()
-                .map(|(start_row, out)| Job::MulVec { a: &a, x: &x, start_row, out })
-                .collect();
+            let mut next = vec![0.0; n];
+            let mut partials = vec![0.0; num_blocks(n)];
+            let mut acc: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
+            let mut jobs: Vec<Job<'_>> = Vec::new();
+            for (start_row, out) in split_blocks(&mut next) {
+                jobs.push(Job::MulVec { a: &a, x: &cur, start_row, out });
+            }
+            for (r, out) in block_ranges(n).into_iter().zip(partials.iter_mut()) {
+                jobs.push(Job::DotPartial { a: &cur[r.clone()], b: &reward[r], out });
+            }
+            for (start, out) in split_blocks(&mut acc) {
+                let src = &cur[start..start + out.len()];
+                jobs.push(Job::Axpy { wk: 0.37, src, out });
+            }
             run_jobs(jobs, workers);
-            y
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (bits(&next), bits(&partials), bits(&acc))
         };
         let serial = run(1);
-        for workers in [2usize, 3, 8, 64] {
+        for workers in [2usize, 3, 8, 64, 300] {
             assert_eq!(run(workers), serial, "workers = {workers}");
         }
     }

@@ -77,6 +77,20 @@ impl Gen {
     fn layered_ctmc(&mut self) -> Ctmc {
         let layers = self.usize_in(3, 5);
         let width = self.usize_in(1_100, 1_500);
+        self.layered_of(layers, width)
+    }
+
+    /// A layered CTMC like [`Gen::layered_ctmc`] of at least
+    /// [`LARGE_STATES`] states.
+    fn large_layered_ctmc(&mut self) -> Ctmc {
+        let layers = self.usize_in(3, 5);
+        let width = self.usize_in(LARGE_STATES.div_ceil(layers), 1_500);
+        self.layered_of(layers, width)
+    }
+
+    /// A random irreducible CTMC of `layers` layers of `width` states,
+    /// with no transition inside a layer.
+    fn layered_of(&mut self, layers: usize, width: usize) -> Ctmc {
         let n = layers * width;
         let mut b = CtmcBuilder::new(n);
         // A cycle through every state that changes layer on each step.
@@ -121,6 +135,11 @@ impl Gen {
 }
 
 const CASES: usize = 12;
+
+/// Fewest states of the large-chain cases: enough rows that
+/// `par::workers_for` lets eight workers in, so every thread count of the
+/// fixed set takes the parallel path rather than the serial block loop.
+const LARGE_STATES: usize = 4_096;
 
 /// Thread counts under test: the fixed {1, 2, 4, 8} set plus anything the
 /// CI matrix injects via `DTC_TEST_THREADS` (comma-separated).
@@ -388,4 +407,103 @@ fn deep_schedule_falls_back_to_row_order_and_still_matches() {
     }
     let c = b.build().unwrap();
     assert_sweeps_bit_identical(&c, Method::GaussSeidel, 1.0, false);
+}
+
+/// Runs one uniformized pass under a fresh trace; returns its output and
+/// the `workers` attribute of the `march` span (how many workers the
+/// march actually fanned out over).
+fn pass_traced(
+    c: &Ctmc,
+    pi0: &[f64],
+    times: &[f64],
+    horizons: &[f64],
+    reward: &[f64],
+    options: &PassOptions<'_>,
+) -> (PassOutput, i64) {
+    let ctx = TraceContext::new(TraceId::generate());
+    let out = {
+        let _installed = trace::install(&ctx);
+        uniformized_pass_with(c, pi0, times, horizons, reward, options).unwrap()
+    };
+    let snapshot = ctx.snapshot();
+    let span = snapshot.spans.iter().find(|s| s.name == "march").expect("the pass marches");
+    let workers = span.attrs.iter().find_map(|(k, v)| match v {
+        AttrValue::Int(i) if k == "workers" => Some(*i),
+        _ => None,
+    });
+    (out, workers.expect("the march records its workers"))
+}
+
+/// The small-chain cases above run the serial block loop at every thread
+/// count, since `par::workers_for` gives a chain of under 1,024 states a
+/// single worker. Here chains of at least [`LARGE_STATES`] states take
+/// the parallel path at every thread count ≥ 2: the pipelined march
+/// (SpMV, dot partials and axpy blocks in one scope, then the swap) in
+/// full-vector and projection modes, the power method, and the SpMV and
+/// dot kernels must all equal the serial bits.
+#[test]
+fn large_chains_fan_out_and_stay_bit_identical() {
+    let counts = thread_counts();
+    let mut g = Gen(0x1A26_E5EE);
+    for case in 0..2 {
+        let c = g.large_layered_ctmc();
+        let n = c.num_states();
+        assert!(n >= LARGE_STATES, "case {case}: n = {n}");
+        let pi0 = g.pi0(n);
+        let times = g.times();
+        let horizons: Vec<f64> = (0..3).map(|_| g.f64_in(0.1, 60.0)).collect();
+        let reward: Vec<f64> = (0..n).map(|_| g.f64_in(0.0, 2.0)).collect();
+
+        for projected in [false, true] {
+            let options = |threads| PassOptions {
+                threads,
+                point_reward: projected.then_some(&reward[..]),
+            };
+            let run =
+                |threads| pass_traced(&c, &pi0, &times, &horizons, &reward, &options(threads));
+            let (serial, workers) = run(1);
+            assert_eq!(workers, 1, "case {case}: one thread marches serially");
+            for &threads in &counts[1..] {
+                let (parallel, workers) = run(threads);
+                let context = format!(
+                    "case {case} (n = {n}), projected = {projected}, threads = {threads}"
+                );
+                assert!(
+                    (2..=threads as i64).contains(&workers),
+                    "{context}: the march ran on {workers} workers"
+                );
+                assert_pass_bits_equal(&serial, &parallel, &context);
+            }
+        }
+
+        let power = |threads| {
+            c.steady_state_with(Method::Power, &SolverOptions { threads, ..Default::default() })
+                .unwrap()
+        };
+        let serial = power(1);
+        for &threads in &counts[1..] {
+            let parallel = power(threads);
+            let context = format!("case {case} (n = {n}), threads = {threads}");
+            assert_eq!(bits(&serial.0), bits(&parallel.0), "{context}: power vector differs");
+            assert_eq!(serial.1.iterations, parallel.1.iterations, "{context}");
+        }
+
+        let q = c.generator();
+        let x = g.pi0(n);
+        let r: Vec<f64> = (0..n).map(|_| g.f64_in(-1.0, 1.0)).collect();
+        let mut spmv = vec![0.0; n];
+        q.mul_vec_into(&x, &mut spmv);
+        let dot1 = par::blocked_dot(&x, &r, 1);
+        for &threads in &counts {
+            let mut parallel = vec![f64::NAN; n];
+            par::mul_vec_into(q, &x, &mut parallel, threads);
+            let context = format!("case {case} (n = {n}), threads = {threads}");
+            assert_eq!(bits(&spmv), bits(&parallel), "{context}: SpMV differs");
+            assert_eq!(
+                dot1.to_bits(),
+                par::blocked_dot(&x, &r, threads).to_bits(),
+                "{context}: blocked dot differs"
+            );
+        }
+    }
 }
