@@ -112,19 +112,26 @@ pub fn canonical_encoding(spec: &CloudSystemSpec, opts: &EvalOptions) -> String 
     // `dtc_markov::par`), so keying on it would only split the cache.
     // SolverOptions is therefore spelled out field by field,
     // byte-compatible with the derived Debug layout the original encoding
-    // used so existing on-disk cache entries keep hitting.
+    // used so existing on-disk cache entries keep hitting. ReachOptions is
+    // spelled out the same way; its `vanishing: Eliminate` suffix is the
+    // one value of a since-removed exploration policy, kept literal so
+    // those entries keep hitting too.
     let so = &opts.solver;
+    let ro = &opts.reach;
     let _ = write!(
         s,
         "opts:{:?};SolverOptions {{ max_iterations: {:?}, tolerance: {:?}, \
-         relaxation: {:?}, check_every: {:?}, accept_loose: {:?} }};{:?}",
+         relaxation: {:?}, check_every: {:?}, accept_loose: {:?} }};\
+         ReachOptions {{ max_states: {:?}, max_vanishing_depth: {:?}, \
+         vanishing: Eliminate }}",
         opts.method,
         so.max_iterations,
         so.tolerance,
         so.relaxation,
         so.check_every,
         so.accept_loose,
-        opts.reach
+        ro.max_states,
+        ro.max_vanishing_depth,
     );
     s
 }

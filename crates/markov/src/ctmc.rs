@@ -248,41 +248,6 @@ impl Ctmc {
         result
     }
 
-    /// Warm-started steady-state solve: power iteration seeded with a
-    /// neighboring candidate's stationary vector (see
-    /// [`crate::solve::power_stationary_from`]). Saved iterations are
-    /// visible through [`crate::instrument::stationary_iterations`] and the
-    /// `stationary_solve` span's `iterations`/`warm_start` attributes.
-    ///
-    /// The result agrees with a cold [`Ctmc::steady_state_with`] power
-    /// solve within the solver tolerance but is not bit-identical to it,
-    /// so cached/golden evaluation paths stay cold-started.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures; see [`MarkovError`].
-    pub fn steady_state_power_from(
-        &self,
-        guess: &[f64],
-        opts: &SolverOptions,
-    ) -> Result<(Vec<f64>, SolveStats)> {
-        let _span = dtc_obs::stage_span("stationary_solve");
-        let n = self.num_states();
-        let lambda = self.uniformization_rate();
-        let p = self.uniformized(lambda);
-        let result = crate::solve::power_stationary_from(&p, guess, opts);
-        if let Ok((_, stats)) = &result {
-            crate::instrument::count_stationary_iterations(stats.iterations as u64);
-            dtc_obs::trace::attr_int("states", n as i64);
-            dtc_obs::trace::attr_int("iterations", stats.iterations as i64);
-            dtc_obs::trace::attr_float("residual", stats.residual);
-            dtc_obs::trace::attr_str("method", &stats.method.to_string());
-            dtc_obs::trace::attr_bool("warm_start", true);
-            dtc_obs::trace::attr_int("threads", opts.resolved_threads() as i64);
-        }
-        result
-    }
-
     /// Transient state distribution at time `t` from initial distribution
     /// `pi0`, by uniformization:
     /// `π(t) = Σ_k Poisson(Λt; k) · π0 Pᵏ` with adaptive truncation.

@@ -62,5 +62,5 @@ pub use curve::{
 };
 pub use dtmc::{Dtmc, DtmcBuilder};
 pub use error::{MarkovError, Result};
-pub use solve::{dot, power_stationary_from, Method, SolveStats, SolverOptions};
+pub use solve::{dot, Method, SolveStats, SolverOptions};
 pub use sparse::{CooMatrix, CsrMatrix};

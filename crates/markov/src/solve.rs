@@ -263,31 +263,6 @@ pub fn power_stationary(
     })
 }
 
-/// Warm-started power iteration: like [`power_stationary`] but seeded with
-/// a neighboring solution `guess` and checking convergence after **every**
-/// multiply (`check_every = 1`) instead of every `opts.check_every`-th.
-///
-/// A cold solve batches its convergence checks because early iterates are
-/// nowhere near the fixed point; a warm start's whole premise is that the
-/// seed is already close, so eager checking is what lets an exact seed
-/// converge after a single multiply and a near-exact seed stop the moment
-/// it is inside tolerance. The result is deterministic given the same
-/// guess, matrix, and options, and agrees with a cold
-/// [`power_stationary`] within the solver tolerance — **not** bit-exactly,
-/// which is why warm starts are kept off cached/golden evaluation paths
-/// (iteration counts and last-bit noise would leak into pinned reports).
-///
-/// # Errors
-///
-/// As [`power_stationary`].
-pub fn power_stationary_from(
-    p: &CsrMatrix,
-    guess: &[f64],
-    opts: &SolverOptions,
-) -> Result<(Vec<f64>, SolveStats)> {
-    power_stationary(p, guess, &SolverOptions { check_every: 1, ..*opts })
-}
-
 /// Gauss–Seidel / SOR / Jacobi sweeps solving `A x = 0`, `Σx = 1` where `A`
 /// is expected to be `Qᵀ` of an irreducible generator (strictly negative
 /// diagonal, non-negative off-diagonals, columns of `Q` summing to zero).

@@ -58,5 +58,5 @@ pub use model::{
 };
 pub use reach::{
     explore, explore_from, structural_fingerprint, ExploreStats, ReachOptions, ReachStats,
-    Solution, TangibleGraph, TangibleStructure, VanishingPolicy,
+    Solution, TangibleGraph, TangibleStructure,
 };

@@ -24,18 +24,6 @@ use dtc_markov::{CooMatrix, CsrMatrix, Ctmc, Method, SolveStats, SolverOptions};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-/// How immediate transitions are treated during exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum VanishingPolicy {
-    /// Exact on-the-fly elimination of vanishing markings (default).
-    #[default]
-    Eliminate,
-    /// Keep vanishing markings as CTMC states, approximating each immediate
-    /// transition as exponential with rate `weight × factor`. Converges to
-    /// the exact answer as `factor → ∞`; used by the elimination ablation.
-    ApproximateRate(f64),
-}
-
 /// Options for [`explore`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReachOptions {
@@ -43,17 +31,11 @@ pub struct ReachOptions {
     pub max_states: usize,
     /// Abort if a single vanishing cascade exceeds this depth.
     pub max_vanishing_depth: usize,
-    /// Treatment of immediate transitions.
-    pub vanishing: VanishingPolicy,
 }
 
 impl Default for ReachOptions {
     fn default() -> Self {
-        ReachOptions {
-            max_states: 4_000_000,
-            max_vanishing_depth: 100_000,
-            vanishing: VanishingPolicy::Eliminate,
-        }
+        ReachOptions { max_states: 4_000_000, max_vanishing_depth: 100_000 }
     }
 }
 
@@ -62,7 +44,7 @@ impl Default for ReachOptions {
 pub struct ReachStats {
     /// Tangible states in the final graph.
     pub tangible_states: usize,
-    /// Distinct vanishing markings eliminated (0 under `ApproximateRate`).
+    /// Distinct vanishing markings eliminated.
     pub vanishing_markings: usize,
     /// Rate-matrix entries (excluding diagonal).
     pub edges: usize,
@@ -71,7 +53,7 @@ pub struct ReachStats {
 /// Statistics for structure-aware exploration ([`explore_from`]): how many
 /// graphs were built from scratch, how many were cheaply re-rated from a
 /// shared [`TangibleStructure`], and how many offered structures had to be
-/// rejected (fingerprint mismatch or non-rateable policy).
+/// rejected (fingerprint mismatch or state bound).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExploreStats {
     /// Full explorations (no structure offered).
@@ -110,12 +92,9 @@ pub struct TangibleStructure {
     states: Vec<Marking>,
     index: HashMap<Marking, usize>,
     initial_distribution: Vec<(usize, f64)>,
-    /// Symbolic terms in triplet discovery order (empty when `!rateable`).
+    /// Symbolic terms in triplet discovery order.
     terms: Vec<RateTerm>,
     vanishing_markings: usize,
-    /// `false` for graphs built under [`VanishingPolicy::ApproximateRate`],
-    /// whose matrix entries are not pure timed-rate terms.
-    rateable: bool,
 }
 
 impl TangibleStructure {
@@ -131,22 +110,19 @@ impl TangibleStructure {
         self.states.len()
     }
 
-    /// Whether `net` can be re-rated on this structure: the structure came
-    /// from exact elimination and the net's [`structural_fingerprint`]
-    /// matches.
+    /// Whether `net` can be re-rated on this structure: the net's
+    /// [`structural_fingerprint`] matches.
     pub fn matches(&self, net: &PetriNet) -> bool {
-        self.rateable && self.fingerprint == structural_fingerprint(net)
+        self.fingerprint == structural_fingerprint(net)
     }
 
     /// Whether exploring `net` under `opts` may re-rate this structure
-    /// instead. Re-rating replays the recorded exact-elimination terms, so
-    /// it needs that policy, a structure within the caller's state bound,
-    /// and a [matching](TangibleStructure::matches) net. [`explore_from`]
-    /// takes exactly this decision.
+    /// instead. Re-rating replays the recorded elimination terms, so it
+    /// needs a structure within the caller's state bound and a
+    /// [matching](TangibleStructure::matches) net. [`explore_from`] takes
+    /// exactly this decision.
     pub fn can_re_rate(&self, net: &PetriNet, opts: &ReachOptions) -> bool {
-        opts.vanishing == VanishingPolicy::Eliminate
-            && self.num_states() <= opts.max_states
-            && self.matches(net)
+        self.num_states() <= opts.max_states && self.matches(net)
     }
 
     /// Re-evaluates only the rate expressions of this structure against a
@@ -159,8 +135,8 @@ impl TangibleStructure {
     /// # Errors
     ///
     /// [`PetriError::StructureMismatch`] when `net`'s fingerprint differs
-    /// from this structure's (or the structure is not rateable). Use
-    /// [`explore_from`] to fall back to a full exploration instead.
+    /// from this structure's. Use [`explore_from`] to fall back to a full
+    /// exploration instead.
     pub fn re_rate(self: &Arc<Self>, net: &PetriNet) -> Result<TangibleGraph> {
         if !self.matches(net) {
             return Err(PetriError::StructureMismatch {
@@ -297,19 +273,6 @@ impl TangibleGraph {
     /// Solves for the steady-state distribution with an explicit method.
     pub fn solve_with(&self, method: Method, opts: &SolverOptions) -> Result<Solution<'_>> {
         let (pi, stats) = self.ctmc.steady_state_with(method, opts)?;
-        Ok(Solution { graph: self, pi, stats })
-    }
-
-    /// Warm-started steady-state solve: power iteration seeded with a
-    /// neighboring graph's solution vector (tolerance-equal to a cold
-    /// solve, typically in far fewer iterations — see
-    /// [`dtc_markov::solve::power_stationary_from`]).
-    pub fn solve_power_from(
-        &self,
-        guess: &[f64],
-        opts: &SolverOptions,
-    ) -> Result<Solution<'_>> {
-        let (pi, stats) = self.ctmc.steady_state_power_from(guess, opts)?;
         Ok(Solution { graph: self, pi, stats })
     }
 
@@ -475,24 +438,8 @@ impl<'a> Eliminator<'a> {
     }
 }
 
-/// Explores the tangible reachability graph of `net` and assembles its CTMC.
-///
-/// # Errors
-///
-/// * [`PetriError::StateSpaceExceeded`] / [`PetriError::VanishingDepthExceeded`]
-///   when bounds are hit,
-/// * [`PetriError::VanishingLoop`] for immediate cycles,
-/// * [`PetriError::Markov`] if the rate matrix is rejected by the CTMC
-///   validator (cannot normally happen for well-formed nets).
-pub fn explore(net: &PetriNet, opts: &ReachOptions) -> Result<TangibleGraph> {
-    match opts.vanishing {
-        VanishingPolicy::Eliminate => explore_eliminating(net, opts),
-        VanishingPolicy::ApproximateRate(factor) => explore_approximate(net, opts, factor),
-    }
-}
-
 /// Structure-aware exploration: when `structure` is offered and matches
-/// `net` (same [`structural_fingerprint`], exact-elimination policy), the
+/// `net` (same [`structural_fingerprint`], within the state bound), the
 /// graph is produced by [`TangibleStructure::re_rate`] — bit-identical to a
 /// fresh [`explore`] but without touching the state space. Otherwise this
 /// falls back to a full [`explore`]. `stats` counts which path was taken.
@@ -599,7 +546,16 @@ impl Fnv64 {
     }
 }
 
-fn explore_eliminating(net: &PetriNet, opts: &ReachOptions) -> Result<TangibleGraph> {
+/// Explores the tangible reachability graph of `net` and assembles its CTMC.
+///
+/// # Errors
+///
+/// * [`PetriError::StateSpaceExceeded`] / [`PetriError::VanishingDepthExceeded`]
+///   when bounds are hit,
+/// * [`PetriError::VanishingLoop`] for immediate cycles,
+/// * [`PetriError::Markov`] if the rate matrix is rejected by the CTMC
+///   validator (cannot normally happen for well-formed nets).
+pub fn explore(net: &PetriNet, opts: &ReachOptions) -> Result<TangibleGraph> {
     let mut eliminator = Eliminator::new(net, opts.max_vanishing_depth);
     let mut states: Vec<Marking> = Vec::new();
     let mut index: HashMap<Marking, usize> = HashMap::new();
@@ -665,68 +621,6 @@ fn explore_eliminating(net: &PetriNet, opts: &ReachOptions) -> Result<TangibleGr
         initial_distribution,
         terms,
         vanishing_markings: stats.vanishing_markings,
-        rateable: true,
-    });
-    Ok(TangibleGraph { structure, ctmc, stats })
-}
-
-fn explore_approximate(
-    net: &PetriNet,
-    opts: &ReachOptions,
-    factor: f64,
-) -> Result<TangibleGraph> {
-    assert!(factor.is_finite() && factor > 0.0, "rate factor must be positive");
-    let mut states: Vec<Marking> = Vec::new();
-    let mut index: HashMap<Marking, usize> = HashMap::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-
-    let m0 = net.initial_marking();
-    states.push(m0.clone());
-    index.insert(m0, 0);
-    queue.push_back(0);
-    let initial_distribution = vec![(0usize, 1.0f64)];
-
-    while let Some(i) = queue.pop_front() {
-        if states.len() > opts.max_states {
-            return Err(PetriError::StateSpaceExceeded { limit: opts.max_states });
-        }
-        let m = states[i].clone();
-        let mut moves: Vec<(TransitionId, f64)> = net.enabled_timed(&m);
-        for (t, w) in net.enabled_immediates(&m) {
-            moves.push((t, w * factor));
-        }
-        for (t, rate) in moves {
-            let succ = net.fire(t, &m);
-            let j = match index.get(&succ) {
-                Some(&j) => j,
-                None => {
-                    let j = states.len();
-                    states.push(succ.clone());
-                    index.insert(succ, j);
-                    queue.push_back(j);
-                    j
-                }
-            };
-            if j != i {
-                triplets.push((i, j, rate));
-            }
-        }
-    }
-
-    let n = states.len();
-    let stats = ReachStats { tangible_states: n, vanishing_markings: 0, edges: triplets.len() };
-    let ctmc = assemble_ctmc(n, &triplets)?;
-    // Approximate-rate matrices mix immediate weights into the entries, so
-    // the structure is kept (for state/index accessors) but not rateable.
-    let structure = Arc::new(TangibleStructure {
-        fingerprint: structural_fingerprint(net),
-        states,
-        index,
-        initial_distribution,
-        terms: Vec::new(),
-        vanishing_markings: 0,
-        rateable: false,
     });
     Ok(TangibleGraph { structure, ctmc, stats })
 }
@@ -922,34 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn approximate_rate_converges_to_exact() {
-        let mut b = PetriNetBuilder::new();
-        let idle = b.place("IDLE", 1);
-        let choice = b.place("CHOICE", 0);
-        let pa = b.place("PA", 0);
-        b.timed("GO", 1.0, ServerSemantics::Single).input(idle).output(choice).done();
-        b.immediate("ROUTE").input(choice).output(pa).done();
-        b.timed("DRAIN", 2.0, ServerSemantics::Single).input(pa).output(idle).done();
-        let net = b.build().unwrap();
-
-        let exact = explore(&net, &ReachOptions::default()).unwrap();
-        let exact_p = exact.solve().unwrap().probability(&IntExpr::tokens(pa).gt(0));
-
-        let approx = explore(
-            &net,
-            &ReachOptions {
-                vanishing: VanishingPolicy::ApproximateRate(1e7),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Approximate graph keeps the vanishing marking as a state.
-        assert_eq!(approx.num_states(), exact.num_states() + 1);
-        let approx_p = approx.solve().unwrap().probability(&IntExpr::tokens(pa).gt(0));
-        assert!((exact_p - approx_p).abs() < 1e-5, "{exact_p} vs {approx_p}");
-    }
-
-    #[test]
     fn transient_approaches_steady_state() {
         let net = simple(100.0, 1.0);
         let g = explore(&net, &ReachOptions::default()).unwrap();
@@ -1121,22 +987,6 @@ mod tests {
         // Direct re_rate on a mismatched net is an error, not a fallback.
         let err = shared.re_rate(&changed).unwrap_err();
         assert!(matches!(err, PetriError::StructureMismatch { .. }), "{err}");
-    }
-
-    #[test]
-    fn approximate_rate_structures_are_not_rateable() {
-        let net = simple(100.0, 1.0);
-        let opts = ReachOptions {
-            vanishing: VanishingPolicy::ApproximateRate(1e6),
-            ..Default::default()
-        };
-        let g = explore(&net, &opts).unwrap();
-        assert!(!g.structure().matches(&net));
-        let mut stats = ExploreStats::default();
-        let shared = Arc::clone(g.structure());
-        // Offering a non-rateable structure falls back (and is counted).
-        explore_from(&net, &ReachOptions::default(), Some(&shared), &mut stats).unwrap();
-        assert_eq!(stats.fallbacks, 1);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Argument parsing and entry points for `dtc serve` and `loadgen`.
+//! Argument parsing and entry point for `dtc serve`.
 
-use crate::loadgen;
 use crate::{ServeConfig, Server};
 use std::path::PathBuf;
 
@@ -112,109 +111,6 @@ pub fn run_serve(args: &[String]) -> i32 {
     }
 }
 
-const LOADGEN_USAGE: &str = "\
-loadgen — throughput/latency harness for dtc-serve
-
-usage: loadgen --addr HOST:PORT [options]
-
-options:
-  --addr HOST:PORT    target server (required)
-  --clients N         concurrent client threads (default 8)
-  --requests N        requests per client (default 50)
-  --duration SECONDS  run each client for a wall-clock budget instead of a
-                      request count (overrides --requests)
-  --healthz           GET /healthz instead of POST /v1/evaluate
-  --catalog FILE      POST this JSON catalog instead of the built-in tiny one
-  --mix N             rotate through N distinct built-in scenario bodies so the
-                      run exercises the cache-miss/solve path, not just hits
-";
-
-/// Parses `loadgen` arguments.
-pub fn parse_loadgen_args(args: &[String]) -> Result<Option<loadgen::Options>, String> {
-    let mut opts = loadgen::Options::default();
-    let mut addr_given = false;
-    let mut catalog_given = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => {
-                opts.addr = take("--addr")?;
-                addr_given = true;
-            }
-            "--clients" => opts.clients = parse_usize("--clients", &take("--clients")?)?,
-            "--requests" => {
-                opts.requests_per_client = parse_usize("--requests", &take("--requests")?)?
-            }
-            "--duration" => {
-                let value = take("--duration")?;
-                let secs: f64 = value
-                    .parse()
-                    .map_err(|_| format!("--duration expects seconds, got {value:?}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!("--duration needs a positive duration, got {value}"));
-                }
-                opts.duration = Some(secs);
-            }
-            "--healthz" => {
-                opts.method = "GET".into();
-                opts.path = "/healthz".into();
-                opts.body = None;
-            }
-            "--catalog" => {
-                let path = take("--catalog")?;
-                let text = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
-                opts.body = Some(text);
-                catalog_given = true;
-            }
-            "--mix" => {
-                opts.mix = parse_usize("--mix", &take("--mix")?)?;
-                if opts.mix == 0 {
-                    return Err("--mix needs at least 1 body".into());
-                }
-            }
-            "--help" | "-h" | "help" => return Ok(None),
-            other => return Err(format!("unknown loadgen option {other:?}")),
-        }
-    }
-    if !addr_given {
-        return Err("--addr HOST:PORT is required (see loadgen --help)".into());
-    }
-    if opts.mix > 1 && catalog_given {
-        return Err("--mix uses the built-in body rotation and would ignore --catalog; \
-                    drop one of them"
-            .into());
-    }
-    if opts.mix > 1 && opts.body.is_none() {
-        return Err("--mix only applies to POST /v1/evaluate; drop --healthz".into());
-    }
-    Ok(Some(opts))
-}
-
-/// `loadgen` binary entry point.
-pub fn run_loadgen(args: &[String]) -> i32 {
-    let opts = match parse_loadgen_args(args) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => {
-            println!("{LOADGEN_USAGE}");
-            return 0;
-        }
-        Err(msg) => {
-            eprintln!("loadgen: {msg}");
-            return 2;
-        }
-    };
-    let summary = loadgen::run(&opts);
-    print!("{}", loadgen::render(&opts, &summary));
-    if summary.failed > 0 {
-        eprintln!("loadgen: {} request(s) failed", summary.failed);
-        return 1;
-    }
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,41 +144,5 @@ mod tests {
         assert!(parse_serve_args(&strs(&["--queue"])).is_err());
         assert!(parse_serve_args(&strs(&["--wat"])).is_err());
         assert!(parse_serve_args(&strs(&["--help"])).unwrap().is_none());
-    }
-
-    #[test]
-    fn loadgen_args_require_addr() {
-        assert!(parse_loadgen_args(&strs(&["--clients", "4"])).is_err());
-        let opts = parse_loadgen_args(&strs(&["--addr", "127.0.0.1:1", "--healthz"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.method, "GET");
-        assert_eq!(opts.path, "/healthz");
-        assert!(opts.body.is_none());
-        assert_eq!(opts.mix, 1);
-    }
-
-    #[test]
-    fn loadgen_mix_parses_and_rejects_zero() {
-        let opts = parse_loadgen_args(&strs(&["--addr", "127.0.0.1:1", "--mix", "4"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.mix, 4);
-        assert!(parse_loadgen_args(&strs(&["--addr", "127.0.0.1:1", "--mix", "0"])).is_err());
-    }
-
-    #[test]
-    fn loadgen_duration_parses_and_rejects_nonpositive() {
-        let opts = parse_loadgen_args(&strs(&["--addr", "127.0.0.1:1", "--duration", "2.5"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.duration, Some(2.5));
-        for bad in ["0", "-1", "inf", "zebra"] {
-            assert!(
-                parse_loadgen_args(&strs(&["--addr", "127.0.0.1:1", "--duration", bad]))
-                    .is_err(),
-                "--duration {bad} must be rejected"
-            );
-        }
     }
 }

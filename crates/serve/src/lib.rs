@@ -51,14 +51,13 @@
 //! when the pending-connection queue is full the acceptor answers
 //! `503 Service Unavailable` immediately instead of queueing unboundedly.
 //!
-//! The companion [`loadgen`] module (and `loadgen` binary) hammers a
-//! running server over real sockets and reports RPS and latency
+//! The companion [`loadgen`] module drives a running server over real
+//! sockets for the integration tests and reports RPS and latency
 //! percentiles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cli;
 pub mod http;
 pub mod loadgen;

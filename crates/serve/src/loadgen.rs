@@ -1,14 +1,15 @@
-//! Load generation against a running `dtc-serve` instance.
+//! Load generation against a running `dtc-serve` instance, for tests.
 //!
-//! N client threads hammer the server over real sockets (one fresh TCP
-//! connection per request, so the accept → queue → worker path is
-//! exercised every time) and the run is summarized as requests/second plus
-//! p50/p95/p99 latency — the repo's end-to-end throughput benchmark.
+//! N client threads POST the built-in [`tiny_catalog_json`] to
+//! `/v1/evaluate` over real sockets (one fresh TCP connection per request,
+//! so the accept → queue → worker path is exercised every time) and the
+//! run is summarized as requests/second plus p50/p95/p99 latency. The
+//! repository's benchmark is `evalbench`; its `serve_mixed` workload is
+//! the load generator for measurements.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// What to fire at the server.
@@ -20,36 +21,6 @@ pub struct Options {
     pub clients: usize,
     /// Requests issued by each client, one connection per request.
     pub requests_per_client: usize,
-    /// HTTP method (`GET` or `POST`).
-    pub method: String,
-    /// Request path.
-    pub path: String,
-    /// Request body (POST only).
-    pub body: Option<Vec<u8>>,
-    /// Number of distinct built-in scenario bodies to rotate through
-    /// (`--mix`). 1 (the default) hammers one spec — after the first solve
-    /// that measures the pure cache-hit path; N > 1 spreads requests over
-    /// N different specs so the cache-miss/solve path stays exercised.
-    pub mix: usize,
-    /// Run for this many seconds instead of a fixed request count
-    /// (`--duration`). When set, every client issues requests until the
-    /// deadline passes and `requests_per_client` is ignored.
-    pub duration: Option<f64>,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            addr: "127.0.0.1:7878".into(),
-            clients: 8,
-            requests_per_client: 50,
-            method: "POST".into(),
-            path: "/v1/evaluate".into(),
-            body: Some(tiny_catalog_json().into_bytes()),
-            mix: 1,
-            duration: None,
-        }
-    }
 }
 
 /// Aggregate results of one load-generation run.
@@ -80,8 +51,8 @@ pub struct Summary {
 }
 
 /// A built-in minimal catalog (one tiny custom data center) whose solve is
-/// fast and whose repeat requests are pure cache hits — the default
-/// `POST /v1/evaluate` payload.
+/// fast and whose repeat requests are pure cache hits — the
+/// `POST /v1/evaluate` payload of [`run`].
 pub fn tiny_catalog_json() -> String {
     r#"{
   "catalog": {"name": "loadgen-tiny", "description": "one minimal DC"},
@@ -99,9 +70,9 @@ pub fn tiny_catalog_json() -> String {
     .to_string()
 }
 
-/// The `i`-th body of a `--mix` run: the tiny catalog with a distinct VM
-/// MTTF, so each body is a distinct spec (and cache key) that forces a real
-/// solve on first sight. The offset keeps body 0 distinct from
+/// The `i`-th mixed body: the tiny catalog with a distinct VM MTTF, so
+/// each body is a distinct spec (and cache key) that forces a real solve
+/// on first sight. The offset keeps body 0 distinct from
 /// [`tiny_catalog_json`]'s Table-VI defaults as well.
 pub fn mix_catalog_json(i: usize) -> String {
     let mttf = 2904.0 + 24.0 * i as f64;
@@ -130,8 +101,8 @@ fn parse_status(response: &[u8]) -> Option<u16> {
 
 fn one_request(opts: &Options, body: &[u8]) -> std::io::Result<(Option<u16>, Duration)> {
     let head = format!(
-        "{} {} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\ncontent-type: application/json\r\nconnection: close\r\n\r\n",
-        opts.method, opts.path, opts.addr, body.len(),
+        "POST /v1/evaluate HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\ncontent-type: application/json\r\nconnection: close\r\n\r\n",
+        opts.addr, body.len(),
     );
     let t0 = Instant::now();
     let mut stream = TcpStream::connect(&opts.addr)?;
@@ -144,48 +115,19 @@ fn one_request(opts: &Options, body: &[u8]) -> std::io::Result<(Option<u16>, Dur
 }
 
 /// Runs the workload and aggregates latencies across every client.
-///
-/// With `mix > 1`, requests rotate round-robin (across all clients)
-/// through [`mix_catalog_json`] bodies instead of re-sending one spec.
-/// With `duration` set, clients fire until the deadline instead of
-/// counting requests (each client finishes its in-flight request, so runs
-/// overshoot the deadline by at most one request's latency).
 pub fn run(opts: &Options) -> Summary {
-    let bodies: Vec<Vec<u8>> = if opts.mix > 1 {
-        (0..opts.mix).map(|i| mix_catalog_json(i).into_bytes()).collect()
-    } else {
-        vec![opts.body.clone().unwrap_or_default()]
-    };
-    let next = AtomicUsize::new(0);
+    let body = tiny_catalog_json().into_bytes();
     let t0 = Instant::now();
-    let deadline = opts.duration.map(|secs| t0 + Duration::from_secs_f64(secs.max(0.0)));
     let samples: Vec<(Option<u16>, Option<Duration>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..opts.clients.max(1))
             .map(|_| {
                 scope.spawn(|| {
-                    let mut local = Vec::with_capacity(opts.requests_per_client);
-                    let mut issued = 0usize;
-                    loop {
-                        match deadline {
-                            Some(deadline) => {
-                                if Instant::now() >= deadline {
-                                    break;
-                                }
-                            }
-                            None => {
-                                if issued >= opts.requests_per_client {
-                                    break;
-                                }
-                            }
-                        }
-                        issued += 1;
-                        let body = &bodies[next.fetch_add(1, Ordering::Relaxed) % bodies.len()];
-                        match one_request(opts, body) {
-                            Ok((status, latency)) => local.push((status, Some(latency))),
-                            Err(_) => local.push((None, None)),
-                        }
-                    }
-                    local
+                    (0..opts.requests_per_client)
+                        .map(|_| match one_request(opts, &body) {
+                            Ok((status, latency)) => (status, Some(latency)),
+                            Err(_) => (None, None),
+                        })
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -231,44 +173,6 @@ pub fn run(opts: &Options) -> Summary {
     }
 }
 
-/// Human-readable report block.
-pub fn render(opts: &Options, s: &Summary) -> String {
-    let mix =
-        if opts.mix > 1 { format!(" (mix of {} bodies)", opts.mix) } else { String::new() };
-    let workload = match opts.duration {
-        Some(secs) => format!("{secs:.1} s each"),
-        None => format!("{} request(s)", opts.requests_per_client),
-    };
-    let failures = if s.failed > 0 {
-        let parts: Vec<String> =
-            s.failures_by_status.iter().map(|(k, n)| format!("{k}×{n}")).collect();
-        format!("failures: {}\n", parts.join(", "))
-    } else {
-        String::new()
-    };
-    format!(
-        "loadgen: {} {} @ {}{mix} — {} client(s) × {workload}\n\
-         requests: {} total, {} ok, {} failed\n\
-         {failures}\
-         elapsed:  {:.3} s\n\
-         rps:      {:.1}\n\
-         latency:  p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms, max {:.2} ms\n",
-        opts.method,
-        opts.path,
-        opts.addr,
-        opts.clients,
-        s.total,
-        s.ok,
-        s.failed,
-        s.elapsed.as_secs_f64(),
-        s.rps,
-        s.p50_ms,
-        s.p95_ms,
-        s.p99_ms,
-        s.max_ms,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,16 +205,7 @@ mod tests {
     fn percentiles_come_from_sorted_latencies() {
         // Hit an unreachable port: every request fails fast, so the
         // summary shape is exercised without a server.
-        let opts = Options {
-            addr: "127.0.0.1:1".into(),
-            clients: 2,
-            requests_per_client: 3,
-            method: "GET".into(),
-            path: "/healthz".into(),
-            body: None,
-            mix: 1,
-            duration: None,
-        };
+        let opts = Options { addr: "127.0.0.1:1".into(), clients: 2, requests_per_client: 3 };
         let s = run(&opts);
         assert_eq!(s.total, 6);
         assert_eq!(s.ok, 0);
@@ -322,7 +217,6 @@ mod tests {
         );
         assert_eq!(s.failures_by_status.values().sum::<usize>(), s.failed);
         assert!(s.p50_ms.is_nan(), "no successful latency samples");
-        assert!(render(&opts, &s).contains("failures: io_error×6"));
     }
 
     #[test]
@@ -332,23 +226,5 @@ mod tests {
         assert_eq!(parse_status(b"HTTP/1.1 zzz"), None);
         assert_eq!(parse_status(b"garbage"), None);
         assert_eq!(parse_status(b""), None);
-    }
-
-    #[test]
-    fn duration_mode_overrides_the_request_count() {
-        // An already-expired deadline: clients stop before their first
-        // request, proving the deadline (not requests_per_client) governs.
-        let opts = Options {
-            addr: "127.0.0.1:1".into(),
-            clients: 3,
-            requests_per_client: 100,
-            method: "GET".into(),
-            path: "/healthz".into(),
-            body: None,
-            mix: 1,
-            duration: Some(0.0),
-        };
-        let s = run(&opts);
-        assert_eq!(s.total, 0, "expired deadline issues no requests");
     }
 }

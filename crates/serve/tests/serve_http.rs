@@ -113,14 +113,8 @@ fn concurrent_identical_posts_are_single_flight_and_loadgen_reports() {
 
     // loadgen against the same live server: everything is now a cache
     // hit, so this measures the HTTP + cache path end to end.
-    let opts = loadgen::Options {
-        addr: addr.to_string(),
-        clients: 4,
-        requests_per_client: 25,
-        ..loadgen::Options::default()
-    };
+    let opts = loadgen::Options { addr: addr.to_string(), clients: 4, requests_per_client: 25 };
     let summary = loadgen::run(&opts);
-    println!("{}", loadgen::render(&opts, &summary));
     assert_eq!(summary.total, 100);
     assert_eq!(summary.ok, 100, "no rejections below queue capacity");
     assert!(summary.rps > 0.0);
@@ -429,21 +423,17 @@ fn model_dot_route_renders_bundled_scenarios() {
 }
 
 #[test]
-fn loadgen_mix_exercises_distinct_specs() {
+fn mixed_bodies_solve_once_per_distinct_spec() {
     let server = Server::start(&config()).expect("server starts");
     let addr = server.addr();
 
+    // 12 requests rotating round-robin over MIX distinct specs.
     const MIX: usize = 3;
-    let opts = loadgen::Options {
-        addr: addr.to_string(),
-        clients: 3,
-        requests_per_client: 4,
-        mix: MIX,
-        ..loadgen::Options::default()
-    };
-    let summary = loadgen::run(&opts);
-    assert_eq!(summary.total, 12);
-    assert_eq!(summary.ok, 12, "all mixed requests succeed");
+    for i in 0..12 {
+        let body = loadgen::mix_catalog_json(i % MIX);
+        let (status, response) = request(addr, "POST", "/v1/evaluate", Some(&body));
+        assert_eq!(status, 200, "mixed request {i} succeeds: {response}");
+    }
 
     // Exactly MIX distinct specs were solved; everything else hit.
     let stats = get_json(addr, "/v1/stats");
