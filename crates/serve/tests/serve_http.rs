@@ -7,6 +7,7 @@ use dtc_engine::value::Value;
 use dtc_serve::{loadgen, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -427,12 +428,39 @@ fn mixed_bodies_solve_once_per_distinct_spec() {
     let server = Server::start(&config()).expect("server starts");
     let addr = server.addr();
 
-    // 12 requests rotating round-robin over MIX distinct specs.
+    // 3 clients started together take request indices from one counter
+    // and send 12 requests rotating over MIX distinct specs, so solves for
+    // different keys are in flight at once and later requests can join an
+    // earlier in-flight solve of the same key.
+    const CLIENTS: usize = 3;
     const MIX: usize = 3;
-    for i in 0..12 {
-        let body = loadgen::mix_catalog_json(i % MIX);
-        let (status, response) = request(addr, "POST", "/v1/evaluate", Some(&body));
-        assert_eq!(status, 200, "mixed request {i} succeeds: {response}");
+    const TOTAL: usize = 12;
+    let barrier = Barrier::new(CLIENTS);
+    let next = AtomicUsize::new(0);
+    let statuses: Vec<(usize, u16, String)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    let mut sent = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= TOTAL {
+                            break sent;
+                        }
+                        let body = loadgen::mix_catalog_json(i % MIX);
+                        let (status, response) =
+                            request(addr, "POST", "/v1/evaluate", Some(&body));
+                        sent.push((i, status, response));
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect()
+    });
+    assert_eq!(statuses.len(), TOTAL);
+    for (i, status, response) in &statuses {
+        assert_eq!(*status, 200, "mixed request {i} succeeds: {response}");
     }
 
     // Exactly MIX distinct specs were solved; everything else hit.
